@@ -19,73 +19,96 @@ template <typename T> void packInto(std::string &Key, T Value) {
   Key.append(Bytes, sizeof(T));
 }
 
-void packAtom(std::string &Key, const Atom &A, const TypeContext &Types,
-              unsigned WordBits) {
+/// Appends `Sym` as the index of its first occurrence in the key being
+/// built (0 for the empty symbol), numbering it on first sight.
+void packSymbol(std::string &Key, std::vector<Symbol> &Seen, Symbol Sym) {
+  uint32_t Index = 0;
+  if (!Sym.empty()) {
+    auto It = std::find(Seen.begin(), Seen.end(), Sym);
+    Index = static_cast<uint32_t>(It - Seen.begin()) + 1;
+    if (It == Seen.end())
+      Seen.push_back(Sym);
+  }
+  packInto<uint32_t>(Key, Index);
+}
+
+void packAtom(std::string &Key, std::vector<Symbol> &Seen, const Atom &A) {
   packInto<uint8_t>(Key, static_cast<uint8_t>(A.K));
   if (A.isVar())
-    packInto<uint32_t>(Key, A.Var.id());
+    packSymbol(Key, Seen, A.Var);
   else
     packInto<uint64_t>(Key, A.ConstBits);
   packInto<uint8_t>(Key, A.IsAllocConst ? 1 : 0);
-  packInto<uint32_t>(Key, A.Ty ? Types.bitWidth(A.Ty, WordBits) : 0);
+  packInto(Key, A.Ty);
 }
 
-/// Structural signature of a primitive, including operand widths, so that
-/// profiles can be cached across the many identical statements produced
-/// by recursion inlining. If-wrapped primitives (see analyzeStmtUnder)
-/// contribute their condition symbols as well. Packed binary — symbol
-/// ids, kinds, and widths — rather than the seed's str() spelling, so a
-/// cache probe allocates one small flat string and never materializes
-/// variable names.
-std::string signatureOf(const CoreStmt &S, const TypeContext &Types,
-                        unsigned WordBits) {
-  std::string Key;
-  Key.reserve(64);
-  const CoreStmt *Prim = &S;
-  while (Prim->K == CoreStmt::Kind::If) {
-    packInto<uint8_t>(Key, static_cast<uint8_t>(Prim->K));
-    packInto<uint32_t>(Key, Prim->Name.id());
-    Prim = Prim->Body.front().get();
+/// Writes into `Key` the shape signature of primitive `S` wrapped in
+/// if-statements over `Wrap` (outermost first), using `Seen` as scratch.
+///
+/// Every field profilePrimitive reads is packed — statement and
+/// expression kinds, operators, projection index, constants, and operand
+/// types (interned, so the pointer names the type, and with the model's
+/// fixed word size it fixes every width) — except symbol spellings: each
+/// symbol becomes the index of its first occurrence in the key.
+///
+/// That is sound because a profile holds only the per-gate control
+/// counts of the primitive compiled on fresh registers. Two statements
+/// with equal keys differ by a one-to-one renaming of their symbols; the
+/// emitter gives the renamed operands registers of the same widths
+/// (perhaps in another order, as it allocates by symbol id) and emits
+/// the same gates up to a relabeling of qubits, so each gate keeps its
+/// number of controls. Names matter only through aliasing — `x + x`
+/// reads one register where `y + z` reads two, and an if-condition the
+/// primitive reads merges with that operand's control — and the indices
+/// keep exactly that: `x + x` packs (1, 1), `y + z` packs (1, 2), and a
+/// wrapped condition shares its index with the operand it aliases.
+/// Recursion inlining gives every instance fresh names for the same few
+/// shapes, so the copies share entries and misses stay constant in the
+/// program size.
+void signatureOf(std::string &Key, std::vector<Symbol> &Seen,
+                 const std::vector<Symbol> &Wrap, const CoreStmt &S) {
+  Key.clear();
+  Seen.clear();
+  for (Symbol C : Wrap) {
+    packInto<uint8_t>(Key, static_cast<uint8_t>(CoreStmt::Kind::If));
+    packSymbol(Key, Seen, C);
   }
-  auto AddWidth = [&](const ast::Type *Ty) {
-    packInto<uint32_t>(Key, Ty ? Types.bitWidth(Ty, WordBits) : 0);
-  };
-  packInto<uint8_t>(Key, static_cast<uint8_t>(Prim->K));
-  packInto<uint32_t>(Key, Prim->Name.id());
-  packInto<uint32_t>(Key, Prim->Name2.id());
-  AddWidth(Prim->Ty);
-  AddWidth(Prim->Ty2);
-  if (Prim->K == CoreStmt::Kind::Assign ||
-      Prim->K == CoreStmt::Kind::UnAssign) {
-    const CoreExpr &E = Prim->E;
+  packInto<uint8_t>(Key, static_cast<uint8_t>(S.K));
+  packSymbol(Key, Seen, S.Name);
+  packSymbol(Key, Seen, S.Name2);
+  packInto(Key, S.Ty);
+  packInto(Key, S.Ty2);
+  if (S.K == CoreStmt::Kind::Assign || S.K == CoreStmt::Kind::UnAssign) {
+    const CoreExpr &E = S.E;
     packInto<uint8_t>(Key, static_cast<uint8_t>(E.K));
     packInto<uint8_t>(Key, static_cast<uint8_t>(E.UOp));
     packInto<uint8_t>(Key, static_cast<uint8_t>(E.BOp));
     packInto<uint32_t>(Key, E.ProjIndex);
-    packAtom(Key, E.A, Types, WordBits);
+    packAtom(Key, Seen, E.A);
     if (E.K == CoreExpr::Kind::Pair || E.K == CoreExpr::Kind::Binary)
-      packAtom(Key, E.B, Types, WordBits);
-    AddWidth(E.Ty);
+      packAtom(Key, Seen, E.B);
+    packInto(Key, E.Ty);
   }
-  return Key;
 }
 
-/// The variables a primitive statement reads or writes.
-SymbolSet primitiveVars(const CoreStmt &S) {
-  SymbolSet Vars;
-  if (!S.Name.empty())
-    Vars.insert(S.Name);
-  if (!S.Name2.empty())
-    Vars.insert(S.Name2);
-  if (S.K == CoreStmt::Kind::Assign || S.K == CoreStmt::Kind::UnAssign)
-    S.E.collectVars(Vars);
-  return Vars;
+/// Whether primitive `S` reads or writes `Var`.
+bool touches(const CoreStmt &S, Symbol Var) {
+  if (S.Name == Var || S.Name2 == Var)
+    return true;
+  if (S.K != CoreStmt::Kind::Assign && S.K != CoreStmt::Kind::UnAssign)
+    return false;
+  const CoreExpr &E = S.E;
+  if (E.A.isVar() && E.A.Var == Var)
+    return true;
+  return (E.K == CoreExpr::Kind::Pair || E.K == CoreExpr::Kind::Binary) &&
+         E.B.isVar() && E.B.Var == Var;
 }
 
 } // namespace
 
 const circuit::PrimitiveProfile &
-CostModel::profileFor(const CoreStmt &S) const {
+CostModel::profileFor(const CoreStmt &S,
+                      const std::vector<Symbol> &Wrap) const {
   // Hoisted handles: one registry lookup per process, one relaxed
   // fetch_add per probe. These are the ROADMAP item-2 cache counters —
   // the daemon's artifact cache will report hit rates the same way.
@@ -93,16 +116,31 @@ CostModel::profileFor(const CoreStmt &S) const {
       obs::Registry::global().counter("costmodel.profile_cache.hits");
   static obs::Registry::Counter Misses =
       obs::Registry::global().counter("costmodel.profile_cache.misses");
-  std::string Key = signatureOf(S, Types, Config.WordBits);
+  signatureOf(Key, KeySyms, Wrap, S);
   auto It = Cache.find(Key);
   if (It != Cache.end()) {
     ++Hits;
     return It->second;
   }
   ++Misses;
-  circuit::PrimitiveProfile P =
-      circuit::profilePrimitive(S, Types, Config, CellBits);
-  return Cache.emplace(std::move(Key), std::move(P)).first->second;
+  // Build if c1 { if c2 { ... S } } and profile the whole nest so
+  // control merging is exact.
+  CoreStmtPtr Wrapped;
+  if (!Wrap.empty()) {
+    Wrapped = S.clone();
+    const ast::Type *Bool = Types.boolType();
+    for (auto C = Wrap.rbegin(); C != Wrap.rend(); ++C) {
+      CoreStmtList Body;
+      Body.push_back(std::move(Wrapped));
+      Wrapped = CoreStmt::ifStmt(*C, std::move(Body));
+      Wrapped->Ty = Bool; // Lets the profiler allocate the condition.
+    }
+  }
+  const CoreStmt &Profiled = Wrapped ? *Wrapped : S;
+  return Cache
+      .emplace(Key,
+               circuit::profilePrimitive(Profiled, Types, Config, CellBits))
+      .first->second;
 }
 
 Cost CostModel::primitiveCost(const CoreStmt &S,
@@ -112,57 +150,21 @@ Cost CostModel::primitiveCost(const CoreStmt &S,
   // merge with the existing control on that variable's qubit, so they
   // are accounted for by profiling an explicit if-wrapper. Nested ifs
   // over the same variable contribute a single control (the compiler
-  // emits a deduplicated control list).
-  std::vector<Symbol> Unique;
-  for (Symbol C : Conds)
-    if (std::find(Unique.begin(), Unique.end(), C) == Unique.end())
-      Unique.push_back(C);
-
-  SymbolSet Read = primitiveVars(S);
+  // emits a deduplicated control list), so only a condition's first
+  // occurrence on the stack counts.
+  Coinciding.clear();
   unsigned Fresh = 0;
-  std::vector<Symbol> Coinciding;
-  for (Symbol C : Unique) {
-    if (Read.count(C))
-      Coinciding.push_back(C);
+  for (auto C = Conds.begin(); C != Conds.end(); ++C) {
+    if (std::find(Conds.begin(), C, *C) != C)
+      continue;
+    if (touches(S, *C))
+      Coinciding.push_back(*C);
     else
       ++Fresh;
   }
-
-  Cost Result;
-  if (Coinciding.empty()) {
-    const circuit::PrimitiveProfile &P = profileFor(S);
-    Result.MCX = P.totalGates();
-    Result.T = P.tComplexityUnder(Fresh);
-    return Result;
-  }
-
-  // Build if c1 { if c2 { ... S } } for the coinciding conditions and
-  // profile the whole nest so control merging is exact.
-  CoreStmtPtr Wrapped = S.clone();
-  const ast::Type *Bool = Types.boolType();
-  for (auto It = Coinciding.rbegin(); It != Coinciding.rend(); ++It) {
-    CoreStmtList Body;
-    Body.push_back(std::move(Wrapped));
-    Wrapped = CoreStmt::ifStmt(*It, std::move(Body));
-    Wrapped->Ty = Bool; // Lets the profiler allocate the condition.
-  }
-  const circuit::PrimitiveProfile &P = profileFor(*Wrapped);
-  Result.MCX = P.totalGates();
-  Result.T = P.tComplexityUnder(Fresh);
-  return Result;
+  const circuit::PrimitiveProfile &P = profileFor(S, Coinciding);
+  return {P.totalGates(), P.tComplexityUnder(Fresh)};
 }
-
-namespace {
-
-/// One pending step of the cost walk: visit a statement at a gate-count
-/// multiplier, or pop the innermost condition.
-struct CostItem {
-  const CoreStmt *S;
-  int64_t Mult;
-  bool PopCond;
-};
-
-} // namespace
 
 Cost CostModel::analyzeStmtUnder(const CoreStmt &S,
                                  std::vector<Symbol> &Conds) const {
@@ -172,7 +174,7 @@ Cost CostModel::analyzeStmtUnder(const CoreStmt &S,
   // since the block expands to s1; s2; I[s1] and reversal preserves
   // gate counts statement by statement).
   Cost Total;
-  std::vector<CostItem> Work;
+  Work.clear();
   Work.push_back({&S, 1, false});
   while (!Work.empty()) {
     CostItem Item = Work.back();

@@ -113,16 +113,35 @@ private:
   Cost primitiveCost(const ir::CoreStmt &S,
                      const std::vector<ir::Symbol> &Conds) const;
 
-  const circuit::PrimitiveProfile &profileFor(const ir::CoreStmt &S) const;
+  /// Profile of `S` wrapped in if-statements over `Wrap` (outermost
+  /// first).
+  const circuit::PrimitiveProfile &
+  profileFor(const ir::CoreStmt &S, const std::vector<ir::Symbol> &Wrap) const;
+
+  /// One pending step of the block walk: visit a statement at a
+  /// gate-count multiplier, or pop the innermost condition.
+  struct CostItem {
+    const ir::CoreStmt *S;
+    int64_t Mult;
+    bool PopCond;
+  };
 
   const ir::TypeContext &Types;
   circuit::TargetConfig Config;
   unsigned CellBits;
-  /// Profile cache keyed by a packed binary signature of the primitive
-  /// (statement kinds, symbol ids, operand widths — no pretty-printing;
-  /// the seed keyed this cache on str(), which built a fresh string per
-  /// analyzed statement).
+  /// Profile cache keyed by the primitive's shape (see signatureOf):
+  /// statement and expression kinds, operand types and constants, and
+  /// each symbol as the index of its first occurrence in the key — so
+  /// the renamed copies recursion inlining produces share one entry,
+  /// while aliasing (`x + x` vs `y + z`) keeps distinct ones.
   mutable std::unordered_map<std::string, circuit::PrimitiveProfile> Cache;
+  /// Scratch reused across probes so a cache hit allocates nothing: the
+  /// key under construction, the symbols it has numbered, the enclosing
+  /// conditions the primitive reads, and the block-walk worklist.
+  mutable std::string Key;
+  mutable std::vector<ir::Symbol> KeySyms;
+  mutable std::vector<ir::Symbol> Coinciding;
+  mutable std::vector<CostItem> Work;
 };
 
 /// Convenience: analyze a program in one call.

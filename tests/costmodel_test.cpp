@@ -8,6 +8,7 @@
 #include "benchmarks/Benchmarks.h"
 #include "costmodel/CostModel.h"
 #include "decompose/Decompose.h"
+#include "obs/Metrics.h"
 #include "opt/Spire.h"
 
 #include <gtest/gtest.h>
@@ -128,27 +129,31 @@ TEST(CostModel, WithBlockCountsReversalOnce) {
   EXPECT_EQ(measured(P).MCX, 24);
 }
 
-TEST(CostModel, ExactOnAllBenchmarks) {
+/// Every Table-1 program at every size up to its Table-1 size (n=10 for
+/// lists, queues and strings, d=6 for sets): large enough that the
+/// profile cache serves most statements from entries first filled by a
+/// differently named inlined instance.
+template <typename Fn> void forEachTable1Point(Fn &&Check) {
   for (const auto &B : benchmarks::allBenchmarks()) {
-    for (int64_t N : {2, 4}) {
-      if (!B.SizeIndexed && N != 2)
-        continue;
-      CoreProgram P = benchmarks::lowerBenchmark(B, N);
-      costmodel::Cost Pred = predicted(P);
-      costmodel::Cost Meas = measured(P);
-      EXPECT_EQ(Pred.MCX, Meas.MCX) << B.Name << " n=" << N;
-      EXPECT_EQ(Pred.T, Meas.T) << B.Name << " n=" << N;
-    }
+    int64_t Last = !B.SizeIndexed ? 1 : B.Group == "Set" ? 6 : 10;
+    for (int64_t N = 1; N <= Last; ++N)
+      Check(B, benchmarks::lowerBenchmark(B, N), N);
   }
 }
 
+TEST(CostModel, ExactOnAllBenchmarks) {
+  forEachTable1Point([](const benchmarks::BenchmarkProgram &B,
+                        const CoreProgram &P, int64_t N) {
+    EXPECT_EQ(predicted(P), measured(P)) << B.Name << " n=" << N;
+  });
+}
+
 TEST(CostModel, ExactOnOptimizedBenchmarks) {
-  for (const auto &B : benchmarks::allBenchmarks()) {
-    CoreProgram P = benchmarks::lowerBenchmark(B, 3);
+  forEachTable1Point([](const benchmarks::BenchmarkProgram &B,
+                        const CoreProgram &P, int64_t N) {
     CoreProgram O = opt::optimizeProgram(P, opt::SpireOptions::all());
-    EXPECT_EQ(predicted(O).MCX, measured(O).MCX) << B.Name;
-    EXPECT_EQ(predicted(O).T, measured(O).T) << B.Name;
-  }
+    EXPECT_EQ(predicted(O), measured(O)) << B.Name << " n=" << N;
+  });
 }
 
 class CostModelProperty : public ::testing::TestWithParam<uint64_t> {};
@@ -265,4 +270,101 @@ TEST(CostModel, DistinctConditionOverCoincidingOne) {
   P.Body.push_back(CoreStmt::ifStmt("c", std::move(Mid)));
   EXPECT_EQ(predicted(P), measured(P));
   EXPECT_EQ(measured(P).T, circuit::tCostOfMCX(3));
+}
+
+//===----------------------------------------------------------------------===//
+// Profile-cache keying: symbols are keyed by first-occurrence index, so
+// renamed copies share an entry while aliasing keeps shapes apart. The
+// shapes share one program and one model, so a wrongly merged key would
+// serve a statement another statement's profile.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+struct AliasingCase {
+  CoreProgram Program;
+  int64_t DistinctShapes = 0;
+};
+
+AliasingCase aliasingProgram() {
+  auto Types = std::make_shared<TypeContext>();
+  const ast::Type *UInt = Types->uintType();
+  const ast::Type *Bool = Types->boolType();
+  auto U = [&](Symbol X) { return Atom::var(X, UInt); };
+  auto B = [&](Symbol X) { return Atom::var(X, Bool); };
+  auto IfC = [](Symbol C, CoreStmtPtr S) {
+    CoreStmtList Body;
+    Body.push_back(std::move(S));
+    return CoreStmt::ifStmt(C, std::move(Body));
+  };
+  auto And = [&](Symbol V, Symbol L, Symbol R) {
+    return CoreStmt::assign(
+        V, Bool, CoreExpr::binary(ast::BinaryOp::And, B(L), B(R), Bool));
+  };
+
+  AliasingCase Case;
+  CoreProgram &P = Case.Program;
+  P.Types = Types;
+  P.Inputs = {{"x", UInt},  {"y", UInt},  {"z", UInt},  {"u", UInt},
+              {"a", UInt},  {"p", UInt},  {"q", UInt},  {"p2", UInt},
+              {"q2", UInt}, {"c", Bool},  {"d", Bool},  {"e", Bool}};
+  P.OutputVar = "x";
+  P.OutputTy = UInt;
+  // r1 <- x + x and r2 <- y + z: one adder operand register vs two
+  // (shapes 1 and 2); r3 <- u + u is r1's renamed twin.
+  P.Body.push_back(CoreStmt::assign(
+      "r1", UInt, CoreExpr::binary(ast::BinaryOp::Add, U("x"), U("x"), UInt)));
+  P.Body.push_back(CoreStmt::assign(
+      "r2", UInt, CoreExpr::binary(ast::BinaryOp::Add, U("y"), U("z"), UInt)));
+  P.Body.push_back(CoreStmt::assign(
+      "r3", UInt, CoreExpr::binary(ast::BinaryOp::Add, U("u"), U("u"), UInt)));
+  // A swap of two distinct names and its renamed twin (shape 3).
+  P.Body.push_back(CoreStmt::swap("p", UInt, "q", UInt));
+  P.Body.push_back(CoreStmt::swap("p2", UInt, "q2", UInt));
+  // if c { v1 <- c && e }: the condition merges with the operand's
+  // control (shape 4). if c { v2 <- d && e }: the same primitive shape
+  // with c unread, so c is a fresh control (shape 5).
+  P.Body.push_back(IfC("c", And("v1", "c", "e")));
+  P.Body.push_back(IfC("c", And("v2", "d", "e")));
+  // Nested ifs over the same condition are one control: unread (shape
+  // 6, a copy under one fresh control) and read (shape 4 again).
+  P.Body.push_back(IfC("c", IfC("c", CoreStmt::assign(
+                                         "w", UInt, CoreExpr::atom(U("a"))))));
+  P.Body.push_back(IfC("c", IfC("c", And("v3", "c", "e"))));
+  Case.DistinctShapes = 6;
+  return Case;
+}
+
+} // namespace
+
+TEST(CostModel, ProfileCacheKeepsAliasingShapesApart) {
+  AliasingCase Case = aliasingProgram();
+  const CoreProgram &P = Case.Program;
+  obs::Registry &Reg = obs::Registry::global();
+  obs::Registry::Counter Hits = Reg.counter("costmodel.profile_cache.hits");
+  obs::Registry::Counter Misses =
+      Reg.counter("costmodel.profile_cache.misses");
+  int64_t Hits0 = Hits.value(), Misses0 = Misses.value();
+
+  // One model across all statements, each checked against its own
+  // compiled circuit (same inputs, the one statement as the body).
+  costmodel::CostModel Model(P, Config);
+  for (const auto &S : P.Body) {
+    CoreProgram One;
+    One.Types = P.Types;
+    One.Inputs = P.Inputs;
+    One.OutputVar = P.OutputVar;
+    One.OutputTy = P.OutputTy;
+    One.Body.push_back(S->clone());
+    EXPECT_EQ(Model.analyzeStmt(*S, 0), measured(One)) << S->str();
+  }
+  EXPECT_EQ(Misses.value() - Misses0, Case.DistinctShapes);
+  EXPECT_EQ(Hits.value() - Hits0,
+            static_cast<int64_t>(P.Body.size()) - Case.DistinctShapes);
+
+  // The merged condition keeps the And a Toffoli; the unread one makes
+  // it a 3-control MCX — the two profiles must not be confused.
+  EXPECT_EQ(Model.analyzeStmt(*P.Body[5], 0).T, circuit::tCostOfMCX(2));
+  EXPECT_EQ(Model.analyzeStmt(*P.Body[6], 0).T, circuit::tCostOfMCX(3));
+  EXPECT_EQ(predicted(P), measured(P));
 }

@@ -317,6 +317,17 @@ size_t countOccurrences(const std::string &S, const std::string &Needle) {
   return N;
 }
 
+/// Value of counter `Name` in a spire-metrics-v1 report, or -1.
+int64_t metricsCounter(const std::string &Json, const std::string &Name) {
+  size_t At = Json.find("\"" + Name + "\": {");
+  if (At == std::string::npos)
+    return -1;
+  At = Json.find("\"value\": ", At);
+  if (At == std::string::npos)
+    return -1;
+  return std::stoll(Json.substr(At + 9));
+}
+
 } // namespace
 
 TEST(SpirecCli, TraceJsonEmitsBalancedChromeTrace) {
@@ -388,6 +399,35 @@ TEST(SpirecCli, TimingsReportCacheAndSymbolCounters) {
   EXPECT_NE(R.Stderr.find("costmodel profile cache"), std::string::npos)
       << R.Stderr;
   EXPECT_NE(R.Stderr.find("interned"), std::string::npos) << R.Stderr;
+
+  // The counters must also be right, not just printed: every inlined
+  // instance of a recursive program repeats the same few primitive
+  // shapes under fresh names, so misses are constant in the size and
+  // nearly every lookup hits.
+  std::string Source = ::testing::TempDir() + "spirec_cli_recursive.tower";
+  std::ofstream(Source) << "fun f[n](a: uint) -> uint {\n"
+                           "  let a2 <- a + 1;\n"
+                           "  let out <- f[n-1](a2);\n"
+                           "  return out;\n"
+                           "}\n";
+  int64_t Hits[2], Misses[2];
+  const int Sizes[2] = {100, 1000};
+  for (int I = 0; I != 2; ++I) {
+    std::string Metrics = ::testing::TempDir() + "spirec_cli_cache_" +
+                          std::to_string(Sizes[I]) + ".json";
+    RunResult Run = runSpirec("'" + Source + "' --entry f --size " +
+                              std::to_string(Sizes[I]) +
+                              " --report --metrics-json '" + Metrics + "'");
+    ASSERT_EQ(Run.ExitCode, 0) << Run.Stderr;
+    std::string Json = slurp(Metrics);
+    Hits[I] = metricsCounter(Json, "costmodel.profile_cache.hits");
+    Misses[I] = metricsCounter(Json, "costmodel.profile_cache.misses");
+    ASSERT_GT(Misses[I], 0) << Json;
+  }
+  EXPECT_EQ(Misses[0], Misses[1]);
+  EXPECT_GT(Hits[1], Hits[0]);
+  EXPECT_GE(Hits[1] * 100, (Hits[1] + Misses[1]) * 95)
+      << Hits[1] << " hits, " << Misses[1] << " misses";
 }
 
 TEST(SpirecCli, DefaultCheckEquivSamplesAdaptToSmallCircuits) {

@@ -119,6 +119,20 @@ def heading(text, markdown, level=2):
         print(f"\n[{text}]" if level > 2 else f"== {text} ==")
 
 
+# Guards in a bench's "linear" object that are not scaling checks, with
+# their pass/fail wording; every other key is a superlinear-collapse guard.
+RATIO_GUARDS = {
+    "speedup_2x": (">=2x vs seed", "BELOW 2x VS SEED"),
+    "cost_beats_compile_at_100k": ("estimate faster than compile",
+                                   "ESTIMATE SLOWER THAN COMPILE"),
+}
+
+
+def guard_verdict(key, passed):
+    ok, failed = RATIO_GUARDS.get(key, ("linear", "SUPERLINEAR COLLAPSE"))
+    return ok if passed else failed
+
+
 def print_one(path, data, markdown=False, show_metrics=True):
     heading(path, markdown)
     name = data.get("bench", data.get("schema", "?"))
@@ -142,8 +156,7 @@ def print_one(path, data, markdown=False, show_metrics=True):
     checks = data.get("linear")
     if isinstance(checks, dict):
         verdicts = "  ".join(
-            f"{k}: {'linear' if v else 'SUPERLINEAR COLLAPSE'}"
-            for k, v in sorted(checks.items()))
+            f"{k}: {guard_verdict(k, v)}" for k, v in sorted(checks.items()))
         print(f"\nscaling guards: {verdicts}")
     qopt = data.get("qopt_stats")
     if isinstance(qopt, dict) and qopt:
@@ -205,6 +218,15 @@ def compare(old_path, old, new_path, new, threshold, min_seconds,
                     regressed = True
             if deltas:
                 print(f"  {key_field}={fmt(key)}: " + "; ".join(deltas))
+
+    # Guard verdicts that flipped: informational, the bench's own exit
+    # code already failed the run that recorded them.
+    old_checks, new_checks = old.get("linear"), new.get("linear")
+    if isinstance(old_checks, dict) and isinstance(new_checks, dict):
+        for key in sorted(new_checks):
+            if key in old_checks and old_checks[key] != new_checks[key]:
+                print(f"  guard {key}: {guard_verdict(key, old_checks[key])}"
+                      f" -> {guard_verdict(key, new_checks[key])}")
 
     # Unified-metrics delta: informational only — counter totals shift
     # with workload shape, so this never gates the exit code.
