@@ -14,9 +14,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <exception>
-#include <fstream>
 #include <new>
-#include <sstream>
 #include <type_traits>
 #include <utility>
 
@@ -637,20 +635,6 @@ std::string renderMetricsJson(const CompilationResult &R) {
   obs::writeMetricsObject(W, obs::Registry::global().snapshot());
   W.endObject();
   return W.take();
-}
-
-CompilationResult CompilationPipeline::runFile(const std::string &Path) const {
-  std::ifstream In(Path);
-  if (!In) {
-    CompilationResult R;
-    R.Diags.error("cannot read " + Path);
-    R.Stages.push_back({Stage::Parse, 0});
-    R.Failed = Stage::Parse;
-    return R;
-  }
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
-  return run(Buffer.str());
 }
 
 } // namespace spire::driver

@@ -303,10 +303,6 @@ public:
   /// text when Options.Input is InputKind::Circuit.
   CompilationResult run(std::string_view Source) const;
 
-  /// Reads `Path` and runs the pipeline over its contents. A missing or
-  /// unreadable file fails the parse stage with a diagnostic.
-  CompilationResult runFile(const std::string &Path) const;
-
   /// Renders the run's final circuit in Options.OutputFormat. The wire
   /// layout is attached only when the final circuit *is* the compiled
   /// MCX circuit (layouts describe MCX-level wires; decomposition and

@@ -4,8 +4,6 @@
 #include "obs/Trace.h"
 #include "support/ArtifactCache.h"
 
-#include <chrono>
-
 namespace spire::driver {
 
 const char *toolVersion() { return "spirec-0.10"; }
@@ -53,78 +51,71 @@ CacheKey cacheKeyFor(const PipelineOptions &Options,
   return Key;
 }
 
-ServiceResponse Service::handle(const ServiceRequest &Request) {
+ServiceResponse Service::handle(const ServiceRequest &Request,
+                                bool Render) {
   obs::Span Sp("service/request");
   ++obs::Registry::global().counter("service.requests");
-  auto Start = std::chrono::steady_clock::now();
-  auto finish = [&Start](ServiceResponse &Resp) -> ServiceResponse & {
-    Resp.Seconds = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - Start)
-                       .count();
-    return Resp;
-  };
-
   ServiceResponse Resp;
-  CacheKey Key;
-  if (Cache) {
-    Key = cacheKeyFor(Request.Pipe, Request.Source);
-    if (std::optional<std::string> Hit = Cache->lookup(Key.Hi, Key.Lo)) {
-      Resp.OK = true;
-      Resp.CacheHit = true;
-      Resp.Artifact = std::move(*Hit);
-      Sp.arg("cache_hit", 1);
-      return finish(Resp);
-    }
-  }
-
-  // A fresh budget per request: one runaway request trips its own
-  // governor, the next starts with full budgets again. The catch wall
-  // keeps OOM and internal errors inside this request.
-  support::Governor Gov(Request.Pipe.Limits);
-  support::GovernorScope Scope(&Gov);
+  // A fresh budget per request — one runaway request trips its own
+  // governor, the next starts with full budgets again — unless the
+  // caller armed one covering a wider scope (spirec's single-input mode
+  // also polices --check-equiv and the -o write). It is installed before
+  // the cache lookup so a hit is charged against the same output cap.
+  support::Governor RequestGov(Request.Pipe.Limits);
+  support::GovernorScope Scope(support::Governor::current() ? nullptr
+                                                            : &RequestGov);
+  support::Governor *Gov = support::Governor::current();
+  support::ArtifactCache *UseCache = Render ? Cache : nullptr;
+  CompilationResult &R = Resp.Result;
   try {
-    CompilationPipeline Pipeline(Request.Pipe);
-    CompilationResult R = Pipeline.run(Request.Source);
-    if (Gov.exceeded() && !R.LimitHit)
-      R.LimitHit = Gov.limit();
-    if (R.succeeded() && !R.LimitHit) {
-      Resp.Artifact = Pipeline.renderFinalCircuit(R);
-      // The writers stop growing the text when the output cap trips;
-      // never serve (or cache) the truncated artifact.
-      if (Gov.exceeded()) {
-        R.LimitHit = Gov.limit();
-      } else {
-        Resp.OK = true;
-        if (Cache && !Resp.Artifact.empty())
-          Cache->store(Key.Hi, Key.Lo, Resp.Artifact);
+    CacheKey Key;
+    if (UseCache) {
+      Key = cacheKeyFor(Request.Pipe, Request.Source);
+      if (std::optional<std::string> Hit = UseCache->lookup(Key.Hi, Key.Lo)) {
+        Resp.CacheHit = true;
+        Resp.Artifact = std::move(*Hit);
+        Sp.arg("cache_hit", 1);
+        if (Gov)
+          Gov->checkOutputBytes(static_cast<int64_t>(Resp.Artifact.size()));
       }
     }
+    if (!Resp.CacheHit) {
+      CompilationPipeline Pipeline(Request.Pipe);
+      R = Pipeline.run(Request.Source);
+      // The writers charge the output cap as the text grows.
+      if (Render && R.succeeded() && !R.LimitHit)
+        Resp.Artifact = Pipeline.renderFinalCircuit(R);
+    }
+    if (Gov && Gov->exceeded() && !R.LimitHit)
+      R.LimitHit = Gov->limit();
     if (R.LimitHit) {
-      Resp.LimitHit = R.LimitHit;
-      support::DiagnosticEngine GovDiags;
-      Gov.report(GovDiags);
-      std::string Report = GovDiags.str();
-      size_t NL = Report.find('\n');
-      Resp.Error = NL == std::string::npos ? Report : Report.substr(0, NL);
-      if (Resp.Error.empty())
-        Resp.Error = std::string("resource limit: ") +
-                     support::resourceLimitName(*R.LimitHit);
-    } else if (!Resp.OK) {
+      // Never serve (or cache) an artifact past a tripped budget: the
+      // writers stop growing the text at the trip. describe(), not
+      // report(): a caller-owned governor reports its trip itself.
+      Resp.Error = "resource-limit: " + Gov->describe();
+    } else if (!R.succeeded()) {
       std::string Diags = R.Diags.str();
-      size_t NL = Diags.find('\n');
-      Resp.Error = NL == std::string::npos ? Diags : Diags.substr(0, NL);
+      Resp.Error = Diags.substr(0, Diags.find('\n'));
       if (Resp.Error.empty())
         Resp.Error = "compilation failed";
+    } else {
+      Resp.OK = true;
+      if (UseCache && !Resp.CacheHit && !Resp.Artifact.empty())
+        UseCache->store(Key.Hi, Key.Lo, Resp.Artifact);
     }
   } catch (const std::bad_alloc &) {
+    Resp.OK = false;
     Resp.Error = "out of memory";
   } catch (const std::exception &E) {
+    Resp.OK = false;
     Resp.Error = std::string("internal error: ") + E.what();
   }
-  if (!Resp.OK)
+  if (!Resp.OK) {
+    Resp.Artifact.clear();
     ++obs::Registry::global().counter("service.failures");
+  }
   Sp.arg("ok", Resp.OK ? 1 : 0);
-  return finish(Resp);
+  return Resp;
 }
 
 } // namespace spire::driver

@@ -1,20 +1,22 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The compile service: one request-in, artifact-out entry point shared
-/// by `spirec --batch` and `spirec --serve`, layered over
-/// CompilationPipeline with the two properties a long-lived process
-/// needs:
+/// The compile service: the one request-in, artifact-out entry point
+/// every `spirec` compile goes through (single-input, `--batch`, and
+/// `--serve` mode alike), layered over CompilationPipeline with the two
+/// properties a long-lived process needs:
 ///
-///   * Request isolation — every request runs under its own fresh
-///     support::Governor and a catch wall, so a poisoned request (OOM,
+///   * Request isolation — every request runs under a fresh
+///     support::Governor (unless the caller installed one covering a
+///     wider scope) and a catch wall, so a poisoned request (OOM,
 ///     internal error, tripped budget, injected fault) fails *that
 ///     request* and never the process.
 ///   * Artifact caching — when constructed over a support::ArtifactCache
 ///     the service keys each request by cacheKeyFor() and serves
 ///     verified hits without compiling; misses compile and store. Cache
 ///     damage of any kind degrades to a recompute, never to a wrong or
-///     failed answer (the cache's own contract).
+///     failed answer (the cache's own contract). Hits are charged
+///     against the output cap exactly like freshly rendered artifacts.
 ///
 /// The cache key hashes the input bytes together with every
 /// PipelineOptions field that can change the emitted artifact
@@ -29,7 +31,6 @@
 #include "driver/Pipeline.h"
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 
@@ -72,9 +73,10 @@ struct ServiceResponse {
   std::string Artifact;
   /// First error line when not OK.
   std::string Error;
-  /// Set when the request tripped its resource budget.
-  std::optional<support::ResourceLimit> LimitHit;
-  double Seconds = 0;
+  /// The pipeline run behind the artifact: stage timings, diagnostics,
+  /// and every stage artifact. Empty (no stages) on a cache hit, except
+  /// for LimitHit, which is set whenever the request tripped a budget.
+  CompilationResult Result;
 };
 
 class Service {
@@ -83,11 +85,16 @@ public:
   explicit Service(support::ArtifactCache *Cache = nullptr)
       : Cache(Cache) {}
 
-  /// Handles one request end to end: cache lookup, compile on miss
-  /// under a fresh governor + catch wall, render, store. Never throws;
-  /// every failure mode lands in the response. Counters:
-  /// service.requests / service.failures; span: service/request.
-  ServiceResponse handle(const ServiceRequest &Request);
+  /// Handles one request end to end under a governor for
+  /// Request.Pipe.Limits (a fresh one unless the caller already
+  /// installed one) and a catch wall: cache lookup, compile on miss,
+  /// render, store, and the output-cap charge for hit and miss alike.
+  /// \p Render = false skips the cache, the render, and the output-cap
+  /// charge, for callers that want only the run's byproducts (spirec
+  /// --analyze or --check-equiv without --emit). Never throws; every
+  /// failure mode lands in the response. Counters: service.requests /
+  /// service.failures; span: service/request.
+  ServiceResponse handle(const ServiceRequest &Request, bool Render = true);
 
 private:
   support::ArtifactCache *Cache;

@@ -11,8 +11,10 @@
 //   - CLI level: cold-then-warm byte-identical emits with cache.hits
 //     accounting, poisoned caches recomputing (not failing), kill -9 at
 //     cache.write self-healing on the next run, warm --batch runs served
-//     from cache, --batch-retries absorbing transient faults, and the
-//     --serve loop (drain mode and FIFO) with per-request isolation.
+//     from cache, --batch-retries absorbing transient faults, the
+//     --serve loop (drain mode and FIFO) with per-request isolation, the
+//     output cap holding on cold and warm caches in all three modes, and
+//     one cache shared by single, serve, and batch mode.
 //
 // The spirec binary path arrives in the SPIREC environment variable, set
 // by CTest.
@@ -658,4 +660,156 @@ TEST(Serve, FifoServesAcrossWriterSessions) {
       << ServerOut;
   EXPECT_EQ(readWholeFile(Out + "f1.qc"), readWholeFile(Out + "f2.qc"));
   EXPECT_FALSE(readWholeFile(Out + "f1.qc").empty());
+}
+
+//===----------------------------------------------------------------------===//
+// CLI: one request path across single, batch, and serve mode
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The paper's Fig. 1 `length` program; its .qc artifact grows with
+/// --size (about 2 MB at size 40).
+std::string lengthProgram() {
+  return writeTempFile("modes_length.tower", R"(
+type list = (uint, ptr<list>);
+fun length[n](xs: ptr<list>, acc: uint) {
+  with {
+    let is_empty <- xs == null;
+  } do if is_empty {
+    let out <- acc;
+  } else with {
+    let temp <- default<list>;
+    *xs <-> temp;
+    let next <- temp.2;
+    let r <- acc + 1;
+  } do {
+    let out <- length[n-1](next, r);
+  }
+  return out;
+}
+)");
+}
+
+} // namespace
+
+TEST(CacheModes, OutputCapHoldsOnColdAndWarmCacheInEveryMode) {
+  ASSERT_FALSE(spirecPath().empty());
+  // contains.qc renders to ~1.26 MB, over a 1 MiB cap.
+  const std::string Golden = std::string(SPIRE_GOLDEN_DIR) + "/contains.qc";
+  std::string Out = ::testing::TempDir();
+  std::string List = writeTempFile("cap_batch.txt", Golden + "\n");
+  std::string Reqs = writeTempFile(
+      "cap_serve.txt",
+      "compile " + Golden + " " + Out + "cap_serve.qc\nshutdown\n");
+  for (bool Warm : {false, true}) {
+    SCOPED_TRACE(Warm ? "warm cache" : "cold cache");
+    std::string Dir = freshCacheDir(Warm ? "cap_warm" : "cap_cold");
+    if (Warm) {
+      // Filled by an uncapped run, so every capped run below is a hit.
+      ASSERT_EQ(runSpirec("--qc-in " + Golden + " -o " + Out +
+                          "cap_fill.qc --cache-dir " + Dir)
+                    .ExitCode,
+                0);
+      ASSERT_EQ(filesWithSuffix(Dir, ".art").size(), 1u);
+    }
+    std::string Cap = " --cache-dir " + Dir + " --max-output-mb 1";
+
+    std::remove((Out + "cap_single.qc").c_str());
+    RunResult Single =
+        runSpirec("--qc-in " + Golden + " -o " + Out + "cap_single.qc" + Cap);
+    EXPECT_EQ(Single.ExitCode, 2) << Single.Output;
+    EXPECT_NE(Single.Output.find("resource-limit: output cap"),
+              std::string::npos)
+        << Single.Output;
+    EXPECT_FALSE(fileExists(Out + "cap_single.qc"));
+
+    RunResult Batch = runSpirec("--batch " + List + Cap + " --metrics-json " +
+                                Out + "cap_batch.json");
+    EXPECT_EQ(Batch.ExitCode, 1) << Batch.Output;
+    EXPECT_NE(Batch.Output.find("batch: FAILED"), std::string::npos)
+        << Batch.Output;
+    std::string Json = readWholeFile(Out + "cap_batch.json");
+    EXPECT_NE(Json.find("\"limit_hit\": \"output-bytes\""), std::string::npos)
+        << Json;
+    if (Warm) {
+      EXPECT_EQ(metricValue(Json, "cache.hits"), 1) << Json;
+    }
+
+    std::remove((Out + "cap_serve.qc").c_str());
+    RunResult Serve = runSpirec("--serve " + Reqs + Cap);
+    EXPECT_EQ(Serve.ExitCode, 0) << Serve.Output;
+    EXPECT_NE(Serve.Output.find("serve: FAILED"), std::string::npos)
+        << Serve.Output;
+    EXPECT_FALSE(fileExists(Out + "cap_serve.qc"));
+
+    // A capped miss must not leave the over-cap artifact in the cache.
+    EXPECT_EQ(filesWithSuffix(Dir, ".art").size(), Warm ? 1u : 0u);
+  }
+}
+
+TEST(CacheModes, SingleModeEntriesServeAndBatchHits) {
+  ASSERT_FALSE(spirecPath().empty());
+  std::string Out = ::testing::TempDir();
+  std::string Tower = lengthProgram();
+  std::string Qc = goodQcCircuit();
+  struct Input {
+    const char *Name;
+    std::string Single;     ///< single-mode input arguments
+    std::string Path;       ///< input path for serve and batch
+    std::string ServeEntry; ///< `[entry [size]]` of the serve request
+    std::string BatchFlags; ///< shared flags for the batch run
+  };
+  const Input Inputs[] = {
+      {"tower", Tower + " --entry length --size 4 --emit qc", Tower,
+       " length 4", " --entry length --size 4"},
+      {"qc", "--qc-in " + Qc, Qc, "", ""},
+  };
+  for (const Input &In : Inputs) {
+    SCOPED_TRACE(In.Name);
+    std::string Dir = freshCacheDir(std::string("modes_") + In.Name);
+    std::string A = Out + "modes_" + In.Name + "_a.qc";
+    std::string B = Out + "modes_" + In.Name + "_b.qc";
+    std::remove(B.c_str());
+
+    RunResult Single =
+        runSpirec(In.Single + " --cache-dir " + Dir + " -o " + A);
+    ASSERT_EQ(Single.ExitCode, 0) << Single.Output;
+    ASSERT_EQ(filesWithSuffix(Dir, ".art").size(), 1u);
+
+    std::string Reqs = writeTempFile(
+        std::string("modes_") + In.Name + "_serve.txt",
+        "compile " + In.Path + " " + B + In.ServeEntry + "\nshutdown\n");
+    RunResult Serve = runSpirec("--serve " + Reqs + " --cache-dir " + Dir);
+    EXPECT_EQ(Serve.ExitCode, 0) << Serve.Output;
+    EXPECT_NE(Serve.Output.find("(hit, "), std::string::npos)
+        << Serve.Output;
+    std::string Expect = readWholeFile(A);
+    ASSERT_FALSE(Expect.empty());
+    EXPECT_EQ(readWholeFile(B), Expect);
+
+    std::string List = writeTempFile(
+        std::string("modes_") + In.Name + "_batch.txt", In.Path + "\n");
+    RunResult Batch =
+        runSpirec("--batch " + List + In.BatchFlags + " --cache-dir " + Dir);
+    EXPECT_EQ(Batch.ExitCode, 0) << Batch.Output;
+    EXPECT_NE(Batch.Output.find("(cached, "), std::string::npos)
+        << Batch.Output;
+    EXPECT_EQ(filesWithSuffix(Dir, ".art").size(), 1u);
+  }
+}
+
+TEST(CacheModes, OutputCapChargesOnlyEmittedArtifacts) {
+  ASSERT_FALSE(spirecPath().empty());
+  std::string Length = lengthProgram() + " --entry length --size 40";
+  // --analyze builds the circuit but emits nothing: no render, no charge.
+  RunResult Analyze = runSpirec(Length + " --analyze --max-output-mb 1");
+  EXPECT_EQ(Analyze.ExitCode, 0) << Analyze.Output;
+  // With --emit the same run is charged, and stops cleanly at the trip
+  // instead of running the lint under the tripped governor.
+  RunResult Emit = runSpirec(Length + " --analyze --emit qc -o /dev/null "
+                                      "--max-output-mb 1");
+  EXPECT_EQ(Emit.ExitCode, 2) << Emit.Output;
+  EXPECT_NE(Emit.Output.find("resource-limit: output cap"), std::string::npos)
+      << Emit.Output;
 }

@@ -377,12 +377,3 @@ TEST(DriverErrors, FailedStagesStillRecordTimings) {
   EXPECT_GE(R.Stages[0].Seconds, 0.0);
 }
 
-TEST(DriverErrors, RunFileReportsMissingInput) {
-  CompilationPipeline Pipeline(PipelineOptions::forEntry("f"));
-  CompilationResult R =
-      Pipeline.runFile("/nonexistent/dir/program.tower");
-  EXPECT_FALSE(R.succeeded());
-  ASSERT_TRUE(R.Failed.has_value());
-  EXPECT_EQ(*R.Failed, Stage::Parse);
-  EXPECT_NE(R.Diags.str().find("cannot read"), std::string::npos);
-}

@@ -532,6 +532,18 @@ TEST(GovernorCli, DeadlineWritesMetricsWithLimitHit) {
   std::remove(Metrics.c_str());
 }
 
+TEST(GovernorCli, AnalyzeStopsCleanlyAtADeadline) {
+  // Far longer than the budget: the deadline trips during the compile or
+  // the parity analysis, whose partial result must not be read.
+  RunResult R = runSpirec(lengthProgram() +
+                          " --entry length --size 600 --analyze"
+                          " --timeout-ms 20");
+  EXPECT_FALSE(R.Signalled) << R.Output;
+  EXPECT_EQ(R.ExitCode, 2) << R.Output;
+  EXPECT_NE(R.Output.find("wall-clock budget"), std::string::npos)
+      << R.Output;
+}
+
 TEST(GovernorCli, GateCapTripsCleanly) {
   std::string Length = lengthProgram();
   RunResult R = runSpirec(Length + " --entry length --size 50"

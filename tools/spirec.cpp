@@ -2,136 +2,10 @@
 ///
 /// \file
 /// spirec — command-line driver for the Spire/Tower compiler. A thin
-/// argument-parsing shell over driver::CompilationPipeline, the single
-/// compile-pipeline implementation shared with the examples and the
-/// benchmark harness.
-///
-/// Usage:
-///   spirec <file.tower> --entry <fun> [--size N] [options]
-///   spirec --qc-in <file.qc> | --qasm-in <file.qasm> [options]
-///   spirec --batch <list> [options]
-///   spirec --serve <fifo|file> [options]
-///
-/// Modes (combinable):
-///   --report              print the cost-model analysis (MCX- and
-///                         T-complexity) before and after optimization
-///   --emit <fmt>          write the compiled circuit; fmt is qc or qasm3
-///                         (legacy gate-level spellings mcx | toffoli |
-///                         cliffordt are still accepted and mean .qc at
-///                         that level)
-///   --basis <name>        legalize the circuit onto a gate basis before
-///                         emission: mcx | toffoli | cx
-///   -o <path>             output path for --emit (default: stdout)
-///   --check-equiv <file>  after the run, check the final circuit is
-///                         behaviorally equivalent to the circuit in
-///                         <file> (.qc or OpenQASM 3, auto-detected):
-///                         exhaustive over all 2^n basis states for
-///                         X-only circuits up to ~20 qubits (bit-sliced,
-///                         64 states per word), bit-sliced random
-///                         batches above that, sampled state-vector
-///                         simulation for non-classical circuits
-///   --run k=v,k=v         interpret the program on a machine state with
-///                         the given input registers and print the output
-///   --verify-each         run the static verifier (src/analysis) on every
-///                         stage artifact and fail on any violation; also
-///                         on by default when SPIRE_VERIFY_EACH is set
-///   --analyze             print the static-analysis lint summary for the
-///                         compiled circuit (wire cleanness at exit, dead
-///                         gates, affine coverage); violations exit 1
-///   --dump-ir             print the (optimized) core IR
-///   --timings             print per-stage wall-clock seconds, heap
-///                         allocation counts, peak-RSS growth, and the
-///                         cost-model cache / symbol-table counters to
-///                         stderr
-///   --trace-json <file>   record a Chrome trace-event timeline of the
-///                         whole invocation (pipeline stages, individual
-///                         qopt passes, legalization, equivalence-check
-///                         phases, lowerer inline batches — each span
-///                         carrying its work counters as args); open the
-///                         file in chrome://tracing or Perfetto
-///   --metrics-json <file> dump the run report + metrics registry as
-///                         JSON (schema spire-metrics-v1, a machine-
-///                         readable superset of --timings; see
-///                         docs/observability.md)
-///
-/// Options:
-///   --no-flatten          disable conditional flattening
-///   --no-narrow           disable conditional narrowing
-///   -O0                   disable all Spire optimizations
-///   --word-bits N         register width in qubits (default 8)
-///   --heap-cells N        qRAM size in cells (default 16)
-///   --max-inline-depth N      lowering's bound on call-inlining depth
-///                             (default 100000)
-///   --max-inline-instances N  lowering's bound on total inlined calls
-///                             (default 100000)
-///   --check-equiv-samples N   basis-state budget for --check-equiv's
-///                             sampled modes (default 32; ignored when
-///                             the sweep is exhaustive; above the
-///                             circuits' 2^qubits distinct states it
-///                             clamps to an exhaustive sweep, diagnosed
-///                             instead when the circuits are not
-///                             classical)
-///   --circuit-opt <name>  additionally run a circuit-optimizer baseline:
-///                         peephole | rotation | cliffordt-cancel |
-///                         toffoli-cancel | exhaustive
-///
-/// Resource governor (docs/robustness.md):
-///   --timeout-ms N        wall-clock budget for the whole invocation
-///   --max-alloc-mb N      heap-traffic budget (bytes requested from the
-///                         counting allocator, frees not subtracted)
-///   --max-gates N         cap on the size any circuit may reach
-///   --max-output-mb N     cap on an emitted artifact's size
-/// A tripped budget stops the compile cleanly with a `resource-limit`
-/// diagnostic and exit code 2; --metrics-json is still written with
-/// `succeeded: false` and a `limit_hit` field.
-///
-/// Batch mode:
-///   --batch <list>        compile every input named in <list> (one path
-///                         per line, `#` comments) in a single process
-///                         with per-input failure isolation; prints one
-///                         summary line per input and exits 0 only when
-///                         every input succeeded. Exclusive with a single
-///                         input and the emit/check/run modes; the shared
-///                         flags (--entry, --basis, --circuit-opt, the
-///                         governor budgets) apply to every input.
-///   --batch-retries N     retry a transiently-failed input (injected io
-///                         fault, tripped deadline — the budget doubles
-///                         for the retry) up to N times with exponential
-///                         backoff before counting it failed; the
-///                         spire-batch-v1 report records `attempts` per
-///                         input
-///
-/// Artifact cache (docs/service.md):
-///   --cache-dir <d>       persistent content-addressed artifact cache
-///                         (env SPIRE_CACHE_DIR): single-input emits and
-///                         batch/serve requests whose key (input bytes +
-///                         output-affecting options + format version)
-///                         has a verified entry skip compilation; misses
-///                         compile and store via atomic stage-and-rename.
-///                         Corrupt entries are quarantined and silently
-///                         recomputed; a sick cache degrades to uncached
-///                         operation, never a failed request.
-///   --cache-max-mb N      size cap; oldest-used entries are evicted
-///                         after each store
-///
-/// Serve mode:
-///   --serve <fifo|file>   long-lived request loop keeping the cache and
-///                         symbol table warm: reads one request per line
-///                         (`compile <input> <output> [entry [size]]`,
-///                         `#` comments, `shutdown`), compiles each under
-///                         a fresh governor + catch wall (one poisoned
-///                         request can never take the service down), and
-///                         answers on stdout. A FIFO is re-opened after
-///                         each writer hangs up until `shutdown`; a
-///                         regular file is drained once. Exit 0 on a
-///                         clean shutdown even when individual requests
-///                         failed — per-request outcomes live in the
-///                         response lines and the spire-batch-v1 report.
-///
-/// Exit status: 0 on success, 1 on a compile, runtime, equivalence, or
-/// batch error, 2 on a command-line error, an unwritable artifact, or a
-/// resource-limit trip (always with a diagnostic on stderr).
-/// docs/cli.md documents every flag and mode; keep the two in sync.
+/// argument-parsing shell over driver::Service, the one request path
+/// every compile takes (single-input, --batch, and --serve mode). The
+/// flags are documented once, in UsageText below (`spirec --help`), and
+/// in docs/cli.md; keep the two in sync.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -724,37 +598,23 @@ int runCompilerModes(Options &Opts, driver::CompilationResult &R,
   std::string Source =
       readFileOrDie(CircuitIn ? Opts.CircuitInPath : Opts.InputPath);
 
-  // -- Configure and run the unified pipeline. -----------------------------
+  // -- Configure and run the pipeline through the service. ---------------
   Pipe.AnalyzeCost = Opts.Report; // Rejected in circuit-in mode above.
   Pipe.BuildCircuit =
       Opts.WantEmit || !Opts.CheckEquivPath.empty() || Opts.Analyze;
   if (!Opts.CircuitOpt.empty())
     Pipe.CircuitOpt = *circuitOptKind(Opts.CircuitOpt);
 
-  // -- Artifact cache: only a pure emit run is cacheable. Every other
-  // mode wants byproducts of the compile itself (IR, costs, lints,
-  // interpreter runs), which a cached artifact cannot provide.
-  const bool CacheEligible =
-      Cache && Opts.WantEmit && !Opts.Report && !Opts.DumpIR &&
-      !Opts.Analyze && !Opts.RunInputs && Opts.CheckEquivPath.empty();
-  driver::CacheKey Key;
-  if (CacheEligible) {
-    Key = driver::cacheKeyFor(Pipe, Source);
-    if (std::optional<std::string> Hit = Cache->lookup(Key.Hi, Key.Lo)) {
-      // Served from cache: charge the output cap (the compile never ran,
-      // so nothing else charged it) and emit.
-      if (auto *G = support::Governor::current();
-          G && !G->checkOutputBytes(static_cast<int64_t>(Hit->size()))) {
-        R.LimitHit = G->limit();
-        return 2;
-      }
-      writeOutput(Opts, *Hit);
-      return 0;
-    }
-  }
-
-  driver::CompilationPipeline Pipeline(Pipe);
-  R = Pipeline.run(Source);
+  // Only a pure emit run is cacheable. Every other mode wants byproducts
+  // of the compile itself (IR, costs, lints, interpreter runs), which a
+  // cached artifact cannot provide.
+  const bool CacheEligible = Opts.WantEmit && !Opts.Report && !Opts.DumpIR &&
+                             !Opts.Analyze && !Opts.RunInputs &&
+                             Opts.CheckEquivPath.empty();
+  driver::Service Svc(CacheEligible ? Cache : nullptr);
+  driver::ServiceResponse Resp =
+      Svc.handle({Pipe, std::move(Source)}, Opts.WantEmit);
+  R = std::move(Resp.Result);
   if (Opts.Timings) {
     for (const driver::StageTiming &T : R.Stages)
       std::fprintf(stderr,
@@ -790,6 +650,15 @@ int runCompilerModes(Options &Opts, driver::CompilationResult &R,
     std::fprintf(stderr, "spirec: error: compilation failed at the %s "
                          "stage\n",
                  driver::stageName(*R.Failed));
+    return 1;
+  }
+  // A budget tripped after the last stage (the render, or a cache hit
+  // over the output cap): stop before any mode runs under the tripped
+  // governor; main reports its diagnostic.
+  if (R.LimitHit)
+    return 2;
+  if (!Resp.OK) {
+    std::fprintf(stderr, "spirec: error: %s\n", Resp.Error.c_str());
     return 1;
   }
 
@@ -838,6 +707,10 @@ int runCompilerModes(Options &Opts, driver::CompilationResult &R,
                   : analysis::CleanSpec::forLayout(R.Compiled->Layout,
                                                    C.NumQubits);
     analysis::ParityResult PR = analysis::analyzeParity(C, Spec);
+    // A trip mid-analysis leaves a partial result; report the budget
+    // (main does), never the partial lint.
+    if (auto *G = support::Governor::current(); G && G->exceeded())
+      return 2;
     V.merge(PR.Report);
     std::printf("analyze: %u wires at exit: %zu clean, %zu dirty, "
                 "%zu unknown\n",
@@ -890,21 +763,10 @@ int runCompilerModes(Options &Opts, driver::CompilationResult &R,
   }
 
   // -- Emit the final circuit and check equivalence. -----------------------
-  if (Opts.WantEmit) {
-    std::string Text = Pipeline.renderFinalCircuit(R);
-    // The writers stop growing the text when the governor's output cap
-    // trips; never ship the truncated artifact (main reports the limit).
-    if (auto *G = support::Governor::current(); G && G->exceeded()) {
-      R.LimitHit = G->limit();
-      return 2;
-    }
-    // Store before emitting: a crash during the final write still
-    // leaves the next run a warm entry. Store failures are absorbed by
-    // the cache (the artifact is already in hand).
-    if (CacheEligible)
-      Cache->store(Key.Hi, Key.Lo, Text);
-    writeOutput(Opts, Text);
-  }
+  // The service stored a cacheable artifact before handing it back, so a
+  // crash during this write still leaves the next run a warm entry.
+  if (Opts.WantEmit)
+    writeOutput(Opts, Resp.Artifact);
   if (!Opts.CheckEquivPath.empty()) {
     const circuit::Circuit *Final = R.finalCircuit();
     if (!Final)
@@ -917,7 +779,7 @@ int runCompilerModes(Options &Opts, driver::CompilationResult &R,
   return 0;
 }
 
-// -- Batch mode. -----------------------------------------------------------
+// -- Batch and serve mode. -------------------------------------------------
 
 /// One --batch entry's (or serve request's) outcome, for the summary
 /// lines and the spire-batch-v1 metrics report.
@@ -930,11 +792,6 @@ struct BatchOutcome {
   std::string LimitHit; ///< resourceLimitName when a budget tripped.
   double Seconds = 0;
 };
-
-std::string firstLine(const std::string &Text) {
-  size_t NL = Text.find('\n');
-  return NL == std::string::npos ? Text : Text.substr(0, NL);
-}
 
 /// Input kind for a batch entry, by extension: .qc and .qasm/.qasm3 are
 /// circuits, everything else compiles as a Tower program.
@@ -977,44 +834,57 @@ bool transientFailure(const BatchOutcome &Out) {
          Out.Detail.rfind("read of ", 0) == 0;
 }
 
-/// Compiles one batch entry through the service (own governor + catch
-/// wall per attempt; per-input isolation is the contract serve mode
-/// inherits), retrying transient failures with exponential backoff.
-BatchOutcome runBatchEntry(const Options &Opts, const std::string &Path,
-                           driver::Service &Svc) {
+/// The per-request step batch and serve mode share: reads \p InPath,
+/// compiles it through the service (own governor + catch wall per
+/// attempt), and writes the artifact to \p OutPath when one is given.
+/// Every failure mode — missing entry, unreadable input, compile error,
+/// tripped budget, unwritable output, injected fault, OOM — stays inside
+/// the request. Transient failures are retried up to \p Retries times
+/// with exponential backoff.
+BatchOutcome runRequest(driver::Service &Svc, driver::PipelineOptions Pipe,
+                        const std::string &InPath, const std::string &OutPath,
+                        int64_t Retries) {
   BatchOutcome Out;
-  Out.Path = Path;
+  Out.Path = InPath;
   auto Start = std::chrono::steady_clock::now();
-  driver::PipelineOptions Pipe = requestPipeOptions(Opts, Path);
-  int BackoffMs = 10;
-  for (int Attempt = 1;; ++Attempt) {
-    Out.Attempts = Attempt;
-    Out.OK = false;
-    Out.Cached = false;
-    Out.Detail.clear();
-    Out.LimitHit.clear();
-    std::string Source, Error;
-    if (Pipe.Input == driver::InputKind::Tower && Pipe.Entry.empty()) {
-      Out.Detail = "--entry is required for Tower inputs";
-      break; // Permanent: no retry can supply the flag.
+  // Permanent: no retry can supply the entry.
+  if (Pipe.Input == driver::InputKind::Tower && Pipe.Entry.empty()) {
+    Out.Detail = "--entry is required for Tower inputs";
+  } else {
+    for (int Attempt = 1, BackoffMs = 10;; ++Attempt, BackoffMs *= 2) {
+      Out.Attempts = Attempt;
+      Out.Cached = false;
+      Out.Detail.clear();
+      Out.LimitHit.clear();
+      try {
+        std::string Source, Error;
+        if (!support::readFile(InPath, Source, Error, "io/input")) {
+          Out.Detail = Error;
+        } else {
+          driver::ServiceResponse Resp = Svc.handle({Pipe, std::move(Source)});
+          Out.Cached = Resp.CacheHit;
+          if (Resp.Result.LimitHit)
+            Out.LimitHit = support::resourceLimitName(*Resp.Result.LimitHit);
+          if (!Resp.OK)
+            Out.Detail = Resp.Error;
+          else if (!OutPath.empty() &&
+                   !support::writeFileAtomic(OutPath, Resp.Artifact, Error,
+                                             "write/output"))
+            Out.Detail = Error;
+          else
+            Out.OK = true;
+        }
+      } catch (const std::bad_alloc &) {
+        Out.Detail = "out of memory";
+      } catch (const std::exception &E) {
+        Out.Detail = std::string("internal error: ") + E.what();
+      }
+      if (Out.OK || Attempt > Retries || !transientFailure(Out))
+        break;
+      if (Out.LimitHit == "deadline" && Pipe.Limits.TimeoutMs > 0)
+        Pipe.Limits.TimeoutMs *= 2;
+      std::this_thread::sleep_for(std::chrono::milliseconds(BackoffMs));
     }
-    if (!support::readFile(Path, Source, Error, "io/input")) {
-      Out.Detail = Error;
-    } else {
-      driver::ServiceRequest Req{Pipe, std::move(Source)};
-      driver::ServiceResponse Resp = Svc.handle(Req);
-      Out.OK = Resp.OK;
-      Out.Cached = Resp.CacheHit;
-      Out.Detail = Resp.Error;
-      if (Resp.LimitHit)
-        Out.LimitHit = support::resourceLimitName(*Resp.LimitHit);
-    }
-    if (Out.OK || Attempt > Opts.BatchRetries || !transientFailure(Out))
-      break;
-    if (Out.LimitHit == "deadline" && Pipe.Limits.TimeoutMs > 0)
-      Pipe.Limits.TimeoutMs *= 2;
-    std::this_thread::sleep_for(std::chrono::milliseconds(BackoffMs));
-    BackoffMs *= 2;
   }
   Out.Seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
@@ -1022,38 +892,42 @@ BatchOutcome runBatchEntry(const Options &Opts, const std::string &Path,
   return Out;
 }
 
-/// Runs every input named in the --batch list. Returns the process exit
-/// code: 0 only when every input compiled.
-int runBatch(const Options &Opts, support::ArtifactCache *Cache,
-             std::vector<BatchOutcome> &Outcomes) {
-  std::string ListText = readFileOrDie(Opts.BatchPath);
-  std::vector<std::string> Paths;
-  std::stringstream Lines(ListText);
-  std::string Line;
-  while (std::getline(Lines, Line)) {
+/// Reads the next line of a batch list or serve request stream into
+/// \p Line, trimmed, skipping blank lines and `#` comments. False at end
+/// of input.
+bool nextLine(std::istream &In, std::string &Line) {
+  while (std::getline(In, Line)) {
     size_t B = Line.find_first_not_of(" \t\r");
     if (B == std::string::npos)
       continue;
     size_t E = Line.find_last_not_of(" \t\r");
     Line = Line.substr(B, E - B + 1);
-    if (Line[0] == '#')
-      continue;
-    Paths.push_back(Line);
+    if (Line[0] != '#')
+      return true;
   }
+  return false;
+}
+
+/// Runs every input named in the --batch list. Returns the process exit
+/// code: 0 only when every input compiled.
+int runBatch(const Options &Opts, support::ArtifactCache *Cache,
+             std::vector<BatchOutcome> &Outcomes) {
+  std::istringstream List(readFileOrDie(Opts.BatchPath));
+  std::vector<std::string> Paths;
+  for (std::string Line; nextLine(List, Line);)
+    Paths.push_back(Line);
   if (Paths.empty())
     usageError("--batch list names no inputs");
 
   driver::Service Svc(Cache);
   size_t Succeeded = 0;
   for (const std::string &Path : Paths) {
-    BatchOutcome Out = runBatchEntry(Opts, Path, Svc);
+    BatchOutcome Out = runRequest(Svc, requestPipeOptions(Opts, Path), Path,
+                                  "", Opts.BatchRetries);
     if (Out.OK) {
       ++Succeeded;
-      std::string Suffix;
-      if (Out.Cached)
-        Suffix = "cached, ";
       std::printf("spirec: batch: ok     %s (%s%.3f s", Path.c_str(),
-                  Suffix.c_str(), Out.Seconds);
+                  Out.Cached ? "cached, " : "", Out.Seconds);
       if (Out.Attempts > 1)
         std::printf(", %d attempts", Out.Attempts);
       std::printf(")\n");
@@ -1106,76 +980,33 @@ std::string renderBatchMetricsJson(const std::vector<BatchOutcome> &Outcomes,
   return W.take();
 }
 
-// -- Serve mode. -----------------------------------------------------------
-
-/// Splits a request line on whitespace.
-std::vector<std::string> tokenize(const std::string &Line) {
-  std::vector<std::string> Toks;
-  std::stringstream Stream(Line);
-  std::string Tok;
-  while (Stream >> Tok)
-    Toks.push_back(Tok);
-  return Toks;
-}
-
-/// Handles one `compile <input> <output> [entry [size]]` request. Every
-/// failure mode — unreadable input, compile error, tripped budget,
-/// unwritable output, injected fault, OOM — stays inside the request.
+/// Handles one `compile <input> <output> [entry [size]]` request line.
+/// Serve mode takes no retries (--batch-retries needs --batch).
 BatchOutcome runServeRequest(const Options &Opts, driver::Service &Svc,
-                             const std::vector<std::string> &Toks) {
-  BatchOutcome Out;
-  Out.Path = Toks.size() > 1 ? Toks[1] : "?";
-  auto Start = std::chrono::steady_clock::now();
-  try {
-    if (Toks.size() < 3 || Toks.size() > 5 || Toks[0] != "compile") {
-      Out.Detail = "bad request (want: compile <input> <output> "
-                   "[entry [size]] | shutdown)";
-    } else {
-      const std::string &InPath = Toks[1], &OutPath = Toks[2];
-      driver::PipelineOptions Pipe = requestPipeOptions(Opts, InPath);
-      if (Toks.size() >= 4)
-        Pipe.Entry = Toks[3];
-      if (Toks.size() >= 5) {
-        char *End = nullptr;
-        Pipe.Size = std::strtoll(Toks[4].c_str(), &End, 10);
-        if (!End || *End != '\0') {
-          Out.Detail = "bad size '" + Toks[4] + "'";
-          Out.Seconds = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - Start)
-                            .count();
-          return Out;
-        }
-      }
-      std::string Source, Error;
-      if (Pipe.Input == driver::InputKind::Tower && Pipe.Entry.empty()) {
-        Out.Detail = "entry is required for Tower inputs";
-      } else if (!support::readFile(InPath, Source, Error, "io/input")) {
-        Out.Detail = Error;
-      } else {
-        driver::ServiceRequest Req{std::move(Pipe), std::move(Source)};
-        driver::ServiceResponse Resp = Svc.handle(Req);
-        Out.Cached = Resp.CacheHit;
-        if (Resp.LimitHit)
-          Out.LimitHit = support::resourceLimitName(*Resp.LimitHit);
-        if (!Resp.OK) {
-          Out.Detail = Resp.Error;
-        } else if (!support::writeFileAtomic(OutPath, Resp.Artifact, Error,
-                                             "write/output")) {
-          Out.Detail = Error;
-        } else {
-          Out.OK = true;
-        }
-      }
-    }
-  } catch (const std::bad_alloc &) {
-    Out.Detail = "out of memory";
-  } catch (const std::exception &E) {
-    Out.Detail = std::string("internal error: ") + E.what();
+                             const std::string &Line) {
+  std::vector<std::string> Toks;
+  std::istringstream Words(Line);
+  for (std::string Tok; Words >> Tok;)
+    Toks.push_back(Tok);
+  BatchOutcome Bad;
+  Bad.Path = Toks.size() > 1 ? Toks[1] : "?";
+  if (Toks.size() < 3 || Toks.size() > 5 || Toks[0] != "compile") {
+    Bad.Detail = "bad request (want: compile <input> <output> "
+                 "[entry [size]] | shutdown)";
+    return Bad;
   }
-  Out.Seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
-          .count();
-  return Out;
+  driver::PipelineOptions Pipe = requestPipeOptions(Opts, Toks[1]);
+  if (Toks.size() >= 4)
+    Pipe.Entry = Toks[3];
+  if (Toks.size() >= 5) {
+    char *End = nullptr;
+    Pipe.Size = std::strtoll(Toks[4].c_str(), &End, 10);
+    if (*End != '\0') {
+      Bad.Detail = "bad size '" + Toks[4] + "'";
+      return Bad;
+    }
+  }
+  return runRequest(Svc, std::move(Pipe), Toks[1], Toks[2], 0);
 }
 
 /// The long-lived request loop behind `--serve <fifo|file>`: reads one
@@ -1209,19 +1040,12 @@ int runServe(const Options &Opts, support::ArtifactCache *Cache,
       return 2;
     }
     std::string Line;
-    while (std::getline(In, Line)) {
-      size_t B = Line.find_first_not_of(" \t\r");
-      if (B == std::string::npos)
-        continue;
-      size_t E = Line.find_last_not_of(" \t\r");
-      Line = Line.substr(B, E - B + 1);
-      if (Line[0] == '#')
-        continue;
+    while (nextLine(In, Line)) {
       if (Line == "shutdown") {
         Shutdown = true;
         break;
       }
-      BatchOutcome Out = runServeRequest(Opts, Svc, tokenize(Line));
+      BatchOutcome Out = runServeRequest(Opts, Svc, Line);
       if (Out.OK) {
         ++Succeeded;
         std::printf("spirec: serve: ok     %s (%s, %.3f s)\n",
