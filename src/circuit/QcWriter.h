@@ -14,11 +14,20 @@
 
 #include <string>
 
+namespace spire::support {
+class OutputSink;
+}
+
 namespace spire::circuit {
 
-/// Renders a circuit as `.qc` text. Qubits are named q0..qN-1; the layout,
-/// when provided, marks program inputs and the output register in the .i
-/// and .o lines.
+/// Writes a circuit as `.qc` text into \p Out. Qubits are named
+/// q0..qN-1; the layout, when provided, marks program inputs and the
+/// output register in the .i and .o lines. Emission stops early when
+/// the sink stops (a failed target or a tripped output cap).
+void writeQc(const Circuit &C, const CircuitLayout *Layout,
+             support::OutputSink &Out);
+
+/// writeQc into a string.
 std::string writeQc(const Circuit &C, const CircuitLayout *Layout = nullptr);
 
 } // namespace spire::circuit

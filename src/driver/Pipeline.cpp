@@ -9,6 +9,7 @@
 #include "sema/TypeChecker.h"
 #include "support/AllocStats.h"
 #include "support/FaultInjector.h"
+#include "support/FileIO.h"
 #include "support/Governor.h"
 
 #include <chrono>
@@ -581,11 +582,11 @@ void CompilationPipeline::runBackendStages(CompilationResult &R) const {
   }
 }
 
-std::string
-CompilationPipeline::renderFinalCircuit(const CompilationResult &R) const {
+void CompilationPipeline::renderFinalCircuit(const CompilationResult &R,
+                                             support::OutputSink &Out) const {
   const circuit::Circuit *Circ = R.finalCircuit();
   if (!Circ)
-    return "";
+    return;
   // Layouts describe MCX-level wires only; decomposition, qopt, and
   // legalization add ancillas, so attach the layout exactly when the
   // final circuit is the compiled one. The circuit axis parses into an
@@ -593,7 +594,16 @@ CompilationPipeline::renderFinalCircuit(const CompilationResult &R) const {
   const circuit::CircuitLayout *Layout = nullptr;
   if (!R.Final && R.Compiled && Options.Input == InputKind::Tower)
     Layout = &R.Compiled->Layout;
-  return interchange::writeCircuit(*Circ, Options.OutputFormat, Layout);
+  interchange::writeCircuit(*Circ, Options.OutputFormat, Layout, Out);
+}
+
+std::string
+CompilationPipeline::renderFinalCircuit(const CompilationResult &R) const {
+  std::string Text;
+  support::StringSink Out(Text);
+  renderFinalCircuit(R, Out);
+  Out.flush();
+  return Text;
 }
 
 std::string renderMetricsJson(const CompilationResult &R) {

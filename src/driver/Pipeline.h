@@ -303,10 +303,15 @@ public:
   /// text when Options.Input is InputKind::Circuit.
   CompilationResult run(std::string_view Source) const;
 
-  /// Renders the run's final circuit in Options.OutputFormat. The wire
-  /// layout is attached only when the final circuit *is* the compiled
-  /// MCX circuit (layouts describe MCX-level wires; decomposition and
-  /// legalization add ancillas). Empty string when no circuit was built.
+  /// Writes the run's final circuit in Options.OutputFormat into \p Out
+  /// (nothing when no circuit was built). The wire layout is attached
+  /// only when the final circuit *is* the compiled MCX circuit (layouts
+  /// describe MCX-level wires; decomposition and legalization add
+  /// ancillas).
+  void renderFinalCircuit(const CompilationResult &R,
+                          support::OutputSink &Out) const;
+
+  /// renderFinalCircuit into a string; empty when no circuit was built.
   std::string renderFinalCircuit(const CompilationResult &R) const;
 
 private:

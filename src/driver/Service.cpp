@@ -3,6 +3,9 @@
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "support/ArtifactCache.h"
+#include "support/FileIO.h"
+
+#include <chrono>
 
 namespace spire::driver {
 
@@ -51,8 +54,17 @@ CacheKey cacheKeyFor(const PipelineOptions &Options,
   return Key;
 }
 
+ServiceResponse Service::handle(const ServiceRequest &Request) {
+  std::string Artifact;
+  support::StringSink Out(Artifact);
+  ServiceResponse Resp = handle(Request, &Out);
+  if (Resp.OK)
+    Resp.Artifact = std::move(Artifact);
+  return Resp;
+}
+
 ServiceResponse Service::handle(const ServiceRequest &Request,
-                                bool Render) {
+                                support::OutputSink *Out) {
   obs::Span Sp("service/request");
   ++obs::Registry::global().counter("service.requests");
   ServiceResponse Resp;
@@ -65,33 +77,55 @@ ServiceResponse Service::handle(const ServiceRequest &Request,
   support::GovernorScope Scope(support::Governor::current() ? nullptr
                                                             : &RequestGov);
   support::Governor *Gov = support::Governor::current();
-  support::ArtifactCache *UseCache = Render ? Cache : nullptr;
+  support::ArtifactCache *UseCache = Out ? Cache : nullptr;
   CompilationResult &R = Resp.Result;
   try {
     CacheKey Key;
+    std::optional<std::string> Hit;
     if (UseCache) {
       Key = cacheKeyFor(Request.Pipe, Request.Source);
-      if (std::optional<std::string> Hit = UseCache->lookup(Key.Hi, Key.Lo)) {
-        Resp.CacheHit = true;
-        Resp.Artifact = std::move(*Hit);
+      Hit = UseCache->lookup(Key.Hi, Key.Lo);
+      Resp.CacheHit = Hit.has_value();
+      if (Resp.CacheHit)
         Sp.arg("cache_hit", 1);
-        if (Gov)
-          Gov->checkOutputBytes(static_cast<int64_t>(Resp.Artifact.size()));
-      }
     }
-    if (!Resp.CacheHit) {
-      CompilationPipeline Pipeline(Request.Pipe);
+    CompilationPipeline Pipeline(Request.Pipe);
+    if (!Resp.CacheHit)
       R = Pipeline.run(Request.Source);
-      // The writers charge the output cap as the text grows.
-      if (Render && R.succeeded() && !R.LimitHit)
-        Resp.Artifact = Pipeline.renderFinalCircuit(R);
+    // The cache stores what a miss renders.
+    std::string Rendered;
+    if (Out && (Resp.CacheHit || (R.succeeded() && !R.LimitHit))) {
+      obs::Span Emit("emit");
+      auto Start = std::chrono::steady_clock::now();
+      uint64_t Before = Out->bytes();
+      Out->chargeOutputCap();
+      if (Hit) {
+        Out->write(*Hit);
+      } else if (UseCache) {
+        support::StringSink Memory(Rendered);
+        Memory.chargeOutputCap();
+        Pipeline.renderFinalCircuit(R, Memory);
+        Memory.flush();
+        Out->write(Rendered);
+      } else {
+        Pipeline.renderFinalCircuit(R, *Out);
+      }
+      Out->flush();
+      int64_t Bytes = static_cast<int64_t>(Out->bytes() - Before);
+      Emit.arg("bytes", Bytes);
+      Emit.arg("format", static_cast<int64_t>(Request.Pipe.OutputFormat));
+      obs::Registry::global().counter("emit.bytes") += Bytes;
+      obs::Registry::global().histogram("emit.seconds").observe(
+          std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                        Start)
+              .count());
     }
     if (Gov && Gov->exceeded() && !R.LimitHit)
       R.LimitHit = Gov->limit();
     if (R.LimitHit) {
       // Never serve (or cache) an artifact past a tripped budget: the
-      // writers stop growing the text at the trip. describe(), not
-      // report(): a caller-owned governor reports its trip itself.
+      // sink stops taking bytes at the trip. describe(), not report():
+      // a caller-owned governor reports its trip itself.
       Resp.Error = "resource-limit: " + Gov->describe();
     } else if (!R.succeeded()) {
       std::string Diags = R.Diags.str();
@@ -100,8 +134,8 @@ ServiceResponse Service::handle(const ServiceRequest &Request,
         Resp.Error = "compilation failed";
     } else {
       Resp.OK = true;
-      if (UseCache && !Resp.CacheHit && !Resp.Artifact.empty())
-        UseCache->store(Key.Hi, Key.Lo, Resp.Artifact);
+      if (UseCache && !Resp.CacheHit && !Rendered.empty())
+        UseCache->store(Key.Hi, Key.Lo, Rendered);
     }
   } catch (const std::bad_alloc &) {
     Resp.OK = false;
@@ -110,10 +144,8 @@ ServiceResponse Service::handle(const ServiceRequest &Request,
     Resp.OK = false;
     Resp.Error = std::string("internal error: ") + E.what();
   }
-  if (!Resp.OK) {
-    Resp.Artifact.clear();
+  if (!Resp.OK)
     ++obs::Registry::global().counter("service.failures");
-  }
   Sp.arg("ok", Resp.OK ? 1 : 0);
   return Resp;
 }

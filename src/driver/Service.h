@@ -17,6 +17,11 @@
 ///     damage of any kind degrades to a recompute, never to a wrong or
 ///     failed answer (the cache's own contract). Hits are charged
 ///     against the output cap exactly like freshly rendered artifacts.
+///   * Streaming emission — the artifact is written into a caller's
+///     support::OutputSink (a staged file for spirec's `-o`), so a
+///     request without a cache never holds the whole artifact. A
+///     request with a cache renders into memory, because the store
+///     needs the bytes, then copies them into the sink.
 ///
 /// The cache key hashes the input bytes together with every
 /// PipelineOptions field that can change the emitted artifact
@@ -36,7 +41,8 @@
 
 namespace spire::support {
 class ArtifactCache;
-}
+class OutputSink;
+} // namespace spire::support
 
 namespace spire::driver {
 
@@ -69,7 +75,8 @@ struct ServiceRequest {
 struct ServiceResponse {
   bool OK = false;
   bool CacheHit = false;
-  /// The rendered final circuit (Pipe.OutputFormat) when OK.
+  /// The rendered final circuit (Pipe.OutputFormat) when OK; filled by
+  /// the one-argument handle() only.
   std::string Artifact;
   /// First error line when not OK.
   std::string Error;
@@ -88,13 +95,20 @@ public:
   /// Handles one request end to end under a governor for
   /// Request.Pipe.Limits (a fresh one unless the caller already
   /// installed one) and a catch wall: cache lookup, compile on miss,
-  /// render, store, and the output-cap charge for hit and miss alike.
-  /// \p Render = false skips the cache, the render, and the output-cap
-  /// charge, for callers that want only the run's byproducts (spirec
-  /// --analyze or --check-equiv without --emit). Never throws; every
+  /// render into \p Out, store, and the output-cap charge for hit and
+  /// miss alike (the sink charges as it flushes; a trip stops the
+  /// render). A null \p Out skips the cache, the render, and the
+  /// output-cap charge, for callers that want only the run's byproducts
+  /// (spirec --analyze or --check-equiv without --emit). The caller
+  /// commits or discards what \p Out received. Never throws; every
   /// failure mode lands in the response. Counters: service.requests /
-  /// service.failures; span: service/request.
-  ServiceResponse handle(const ServiceRequest &Request, bool Render = true);
+  /// service.failures, emit.bytes; histogram: emit.seconds; spans:
+  /// service/request, emit (args bytes, and format 0 = qc, 1 = qasm3).
+  ServiceResponse handle(const ServiceRequest &Request,
+                         support::OutputSink *Out);
+
+  /// handle() rendering into ServiceResponse::Artifact.
+  ServiceResponse handle(const ServiceRequest &Request);
 
 private:
   support::ArtifactCache *Cache;

@@ -9,6 +9,7 @@
 #include "sim/BitSliced.h"
 #include "sim/Simulator.h"
 #include "support/FaultInjector.h"
+#include "support/FileIO.h"
 #include "support/Governor.h"
 #include "support/Hash.h"
 
@@ -72,15 +73,26 @@ Format detectFormat(std::string_view Text) {
   return Format::Qc;
 }
 
-std::string writeCircuit(const Circuit &C, Format F,
-                         const circuit::CircuitLayout *Layout) {
+void writeCircuit(const Circuit &C, Format F,
+                  const circuit::CircuitLayout *Layout,
+                  support::OutputSink &Out) {
   switch (F) {
   case Format::Qc:
-    return circuit::writeQc(C, Layout);
+    circuit::writeQc(C, Layout, Out);
+    return;
   case Format::Qasm3:
-    return writeQasm3(C, Layout);
+    writeQasm3(C, Layout, Out);
+    return;
   }
-  return "";
+}
+
+std::string writeCircuit(const Circuit &C, Format F,
+                         const circuit::CircuitLayout *Layout) {
+  std::string Text;
+  support::StringSink Out(Text);
+  writeCircuit(C, F, Layout, Out);
+  Out.flush();
+  return Text;
 }
 
 std::optional<Circuit> readCircuit(std::string_view Text, Format F,

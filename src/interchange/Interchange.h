@@ -39,6 +39,10 @@
 #include <string>
 #include <string_view>
 
+namespace spire::support {
+class OutputSink;
+}
+
 namespace spire::interchange {
 
 /// A circuit text format the compiler can read and write.
@@ -59,8 +63,14 @@ std::optional<Format> formatFromName(const std::string &Name);
 /// `.qc` otherwise. Used by --check-equiv, which accepts either.
 Format detectFormat(std::string_view Text);
 
-/// Renders a circuit in the format. The layout, when provided, marks the
-/// input/output registers (`.i`/`.o` lines in `.qc`, comments in QASM).
+/// Writes a circuit in the format into \p Out. The layout, when
+/// provided, marks the input/output registers (`.i`/`.o` lines in `.qc`,
+/// comments in QASM).
+void writeCircuit(const circuit::Circuit &C, Format F,
+                  const circuit::CircuitLayout *Layout,
+                  support::OutputSink &Out);
+
+/// writeCircuit into a string.
 std::string writeCircuit(const circuit::Circuit &C, Format F,
                          const circuit::CircuitLayout *Layout = nullptr);
 

@@ -1,6 +1,8 @@
 #include "interchange/QasmWriter.h"
 
-#include "support/Governor.h"
+#include "support/FileIO.h"
+
+#include <cstring>
 
 namespace spire::interchange {
 
@@ -11,14 +13,18 @@ using circuit::Qubit;
 
 namespace {
 
-std::string ref(Qubit Q) { return "q[" + std::to_string(Q) + "]"; }
-
 /// `q[a..b]` for a register slice (inclusive), or `q[a]` when one wide.
-std::string rangeRef(const circuit::BitRange &R) {
-  if (R.Width == 1)
-    return ref(R.Offset);
-  return "q[" + std::to_string(R.Offset) + ".." +
-         std::to_string(R.Offset + R.Width - 1) + "]";
+void writeRange(support::OutputSink &Out, const support::NameTable &Names,
+                const circuit::BitRange &R) {
+  if (R.Width == 1) {
+    Out.write(Names[R.Offset]);
+    return;
+  }
+  Out.write("q[");
+  Out.writeDecimal(R.Offset);
+  Out.write("..");
+  Out.writeDecimal(R.Offset + R.Width - 1);
+  Out.write("]");
 }
 
 /// Base gate name for a kind with no controls.
@@ -57,49 +63,91 @@ const char *aliasName(GateKind K, unsigned NumControls) {
   }
 }
 
-void writeGate(std::string &Out, const Gate &G) {
+void writeGate(support::OutputSink &Out, const support::NameTable &Names,
+               const Gate &G) {
   unsigned NumControls = G.numControls();
   const char *Alias = aliasName(G.Kind, NumControls);
   if (NumControls != 0 && !Alias) {
-    Out += "ctrl";
-    if (NumControls > 1)
-      Out += "(" + std::to_string(NumControls) + ")";
-    Out += " @ ";
+    Out.write("ctrl");
+    if (NumControls > 1) {
+      Out.write("(");
+      Out.writeDecimal(NumControls);
+      Out.write(")");
+    }
+    Out.write(" @ ");
   }
-  Out += Alias ? Alias : baseName(G.Kind);
-  Out += " ";
-  for (Qubit C : G.Controls)
-    Out += ref(C) + ", ";
-  Out += ref(G.Target) + ";\n";
+  std::string_view Name = Alias ? Alias : baseName(G.Kind);
+  // The line's bound: the name and its space, a full name slot plus
+  // ", " per operand, and the closing ";\n".
+  char *P = Out.reserve(Name.size() + 1 +
+                        (support::NameTable::MaxBytes + 2) *
+                            (NumControls + 1));
+  if (!P) {
+    // Stopped, or too wide for the sink's buffer: piecewise.
+    Out.write(Name);
+    Out.write(" ");
+    for (Qubit C : G.Controls) {
+      Out.write(Names[C]);
+      Out.write(", ");
+    }
+    Out.write(Names[G.Target]);
+    Out.write(";\n");
+    return;
+  }
+  std::memcpy(P, Name.data(), Name.size());
+  P += Name.size();
+  *P++ = ' ';
+  for (Qubit C : G.Controls) {
+    P = Names.copy(P, C);
+    *P++ = ',';
+    *P++ = ' ';
+  }
+  P = Names.copy(P, G.Target);
+  *P++ = ';';
+  *P++ = '\n';
+  Out.advance(P);
 }
 
 } // namespace
 
-std::string writeQasm3(const Circuit &C,
-                       const circuit::CircuitLayout *Layout) {
-  std::string Out = "OPENQASM 3.0;\n"
-                    "include \"stdgates.inc\";\n";
+void writeQasm3(const Circuit &C, const circuit::CircuitLayout *Layout,
+                support::OutputSink &Out) {
+  const support::NameTable Names(C.NumQubits, "q[", "]");
+  Out.write("OPENQASM 3.0;\n"
+            "include \"stdgates.inc\";\n");
   if (Layout) {
-    for (const auto &[Name, R] : Layout->Inputs)
-      Out += "// input " + Name + ": " + rangeRef(R) + "\n";
-    Out += "// output: " + rangeRef(Layout->Output) + "\n";
+    for (const auto &[Name, R] : Layout->Inputs) {
+      Out.write("// input ");
+      Out.write(Name);
+      Out.write(": ");
+      writeRange(Out, Names, R);
+      Out.write("\n");
+    }
+    Out.write("// output: ");
+    writeRange(Out, Names, Layout->Output);
+    Out.write("\n");
   }
   // OpenQASM has no zero-width registers; an empty circuit is just the
   // header (and readQasm3 accepts a program with no declaration back).
-  if (C.NumQubits != 0)
-    Out += "qubit[" + std::to_string(C.NumQubits) + "] q;\n";
-  size_t GateIndex = 0;
-  for (const Gate &G : C.Gates) {
-    // Output-size checkpoint: stop emitting once the governor's output
-    // cap trips; callers check the governor before using the text.
-    if ((GateIndex++ & 1023) == 0) {
-      auto *Gov = support::Governor::current();
-      if (Gov && !Gov->checkOutputBytes(static_cast<int64_t>(Out.size())))
-        return Out;
-    }
-    writeGate(Out, G);
+  if (C.NumQubits != 0) {
+    Out.write("qubit[");
+    Out.writeDecimal(C.NumQubits);
+    Out.write("] q;\n");
   }
-  return Out;
+  for (const Gate &G : C.Gates) {
+    if (Out.stopped())
+      return;
+    writeGate(Out, Names, G);
+  }
+}
+
+std::string writeQasm3(const Circuit &C,
+                       const circuit::CircuitLayout *Layout) {
+  std::string Text;
+  support::StringSink Out(Text);
+  writeQasm3(C, Layout, Out);
+  Out.flush();
+  return Text;
 }
 
 } // namespace spire::interchange

@@ -32,10 +32,21 @@
 
 #include <string>
 
+namespace spire::support {
+class OutputSink;
+}
+
 namespace spire::interchange {
 
-/// Renders a circuit as OpenQASM 3 text. The layout, when provided, is
-/// emitted as `// input` / `// output` comments over the `q` register.
+/// Writes a circuit as OpenQASM 3 text into \p Out. The layout, when
+/// provided, is emitted as `// input` / `// output` comments over the
+/// `q` register. Emission stops early when the sink stops (a failed
+/// target or a tripped output cap).
+void writeQasm3(const circuit::Circuit &C,
+                const circuit::CircuitLayout *Layout,
+                support::OutputSink &Out);
+
+/// writeQasm3 into a string.
 std::string writeQasm3(const circuit::Circuit &C,
                        const circuit::CircuitLayout *Layout = nullptr);
 

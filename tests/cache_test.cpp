@@ -15,6 +15,9 @@
 //     --serve loop (drain mode and FIFO) with per-request isolation, the
 //     output cap holding on cold and warm caches in all three modes, and
 //     one cache shared by single, serve, and batch mode.
+//   - Streaming emission: an output-cap trip mid-render keeps the `-o`
+//     destination's old bytes and leaks no temp; `-o /dev/null` works;
+//     stdout carries the same bytes as the `-o` file.
 //
 // The spirec binary path arrives in the SPIREC environment variable, set
 // by CTest.
@@ -812,4 +815,66 @@ TEST(CacheModes, OutputCapChargesOnlyEmittedArtifacts) {
   EXPECT_EQ(Emit.ExitCode, 2) << Emit.Output;
   EXPECT_NE(Emit.Output.find("resource-limit: output cap"), std::string::npos)
       << Emit.Output;
+}
+
+//===----------------------------------------------------------------------===//
+// Streaming emission: `-o` is a staged file written as the circuit renders
+//===----------------------------------------------------------------------===//
+
+TEST(StreamingEmit, OutputCapTripKeepsDestinationAndLeavesNoTemp) {
+  ASSERT_FALSE(spirecPath().empty());
+  // contains.qc renders to ~1.26 MB, over a 1 MiB cap: the staged temp
+  // has taken bytes when the cap trips mid-render.
+  const std::string Golden = std::string(SPIRE_GOLDEN_DIR) + "/contains.qc";
+  std::string Dir = freshCacheDir("stream_cap");
+  ASSERT_EQ(::mkdir(Dir.c_str(), 0755), 0);
+  std::string Dest = Dir + "/out.qc";
+  {
+    std::ofstream Out(Dest, std::ios::binary);
+    Out << "previous artifact\n";
+  }
+  std::string Metrics = ::testing::TempDir() + "stream_cap.json";
+  RunResult R = runSpirec("--qc-in " + Golden + " --emit qc -o " + Dest +
+                          " --max-output-mb 1 --metrics-json " + Metrics);
+  EXPECT_EQ(R.ExitCode, 2) << R.Output;
+  EXPECT_NE(readWholeFile(Metrics).find("\"limit_hit\": \"output-bytes\""),
+            std::string::npos);
+  EXPECT_EQ(readWholeFile(Dest), "previous artifact\n");
+  std::vector<std::string> Left;
+  DIR *D = ::opendir(Dir.c_str());
+  ASSERT_NE(D, nullptr);
+  while (struct dirent *Ent = ::readdir(D))
+    if (std::string(Ent->d_name).find(".tmp.") != std::string::npos)
+      Left.push_back(Ent->d_name);
+  ::closedir(D);
+  EXPECT_TRUE(Left.empty()) << "leaked temp " << Left.front();
+}
+
+TEST(StreamingEmit, DevNullAndStdoutMatchTheFile) {
+  ASSERT_FALSE(spirecPath().empty());
+  const std::string Golden = std::string(SPIRE_GOLDEN_DIR) + "/contains.qc";
+  const std::string Inputs[] = {
+      lengthProgram() + " --entry length --size 4",
+      "--qc-in " + Golden,
+  };
+  for (const std::string &In : Inputs) {
+    for (const char *Format : {"qc", "qasm3"}) {
+      SCOPED_TRACE(In + " --emit " + Format);
+      std::string Args = In + " --emit " + Format;
+      EXPECT_EQ(runSpirec(Args + " -o /dev/null").ExitCode, 0);
+      std::string File = ::testing::TempDir() + "stream_file.out";
+      std::string Piped = ::testing::TempDir() + "stream_stdout.out";
+      ASSERT_EQ(runSpirec(Args + " -o " + File).ExitCode, 0);
+      // The subshell keeps stderr (the circuit-in stats line) out of
+      // the redirected stdout.
+      ASSERT_EQ(
+          runShell("('" + spirecPath() + "' " + Args + " > " + Piped + ")")
+              .ExitCode,
+          0);
+      std::string Expect = readWholeFile(File);
+      EXPECT_FALSE(Expect.empty());
+      // Not EXPECT_EQ: a failure would diff two megabyte strings.
+      EXPECT_TRUE(readWholeFile(Piped) == Expect);
+    }
+  }
 }

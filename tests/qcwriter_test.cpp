@@ -7,11 +7,17 @@
 #include "benchmarks/Benchmarks.h"
 #include "circuit/QcWriter.h"
 #include "decompose/Decompose.h"
+#include "interchange/QasmReader.h"
+#include "interchange/QasmWriter.h"
+#include "support/FileIO.h"
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 #include <vector>
+
+#include <unistd.h>
 
 using namespace spire;
 using namespace spire::circuit;
@@ -344,4 +350,118 @@ TEST(QcWriter, ControlledPhaseOperandsAreNeverDropped) {
   std::string Errors;
   EXPECT_FALSE(parseQc(Text, &Errors));
   EXPECT_NE(Errors.find("exactly one qubit"), std::string::npos) << Errors;
+}
+
+//===----------------------------------------------------------------------===//
+// Streaming emission through support::OutputSink
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A sink that records every drain, to see the buffer flush.
+class CountingSink final : public support::OutputSink {
+public:
+  std::string Text;
+  int Drains = 0;
+
+private:
+  bool drain(const char *Data, size_t N) override {
+    ++Drains;
+    Text.append(Data, N);
+    return true;
+  }
+};
+
+/// Over 1 MiB of text in either format: 100,000 Toffolis over a wide
+/// register, phase and Hadamard gates, and one MCX too wide for the
+/// sink's buffer (5,000 controls), which the writers emit piecewise.
+Circuit largeCircuit() {
+  Circuit C;
+  C.NumQubits = 100000;
+  for (Qubit Q = 0; Q != C.NumQubits; ++Q)
+    C.addX(Q, {(Q + 1) % C.NumQubits, (Q + 99991) % C.NumQubits});
+  C.addH(7);
+  C.addH(8, {9});
+  C.Gates.push_back(Gate(GateKind::T, 99999));
+  C.Gates.push_back(Gate(GateKind::Tdg, 0));
+  ControlList Wide;
+  for (Qubit Q = 1; Q <= 5000; ++Q)
+    Wide.push_back(Q);
+  C.addX(0, Wide);
+  C.Gates.push_back(Gate(GateKind::Z, 3, {4}));
+  return C;
+}
+
+std::string readBack(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  std::stringstream Buffer;
+  Buffer << In.rdbuf();
+  return Buffer.str();
+}
+
+} // namespace
+
+TEST(StreamingEmission, LargeCircuitIsIdenticalInEverySink) {
+  Circuit C = largeCircuit();
+  struct Writer {
+    const char *Name;
+    std::string (*ToString)(const Circuit &, const CircuitLayout *);
+    void (*ToSink)(const Circuit &, const CircuitLayout *,
+                   support::OutputSink &);
+  };
+  const Writer Writers[] = {
+      {"qc", writeQc, writeQc},
+      {"qasm3", interchange::writeQasm3, interchange::writeQasm3},
+  };
+  for (const Writer &W : Writers) {
+    SCOPED_TRACE(W.Name);
+    std::string Text = W.ToString(C, nullptr);
+    EXPECT_GT(Text.size(), size_t{1} << 20);
+
+    CountingSink Counting;
+    W.ToSink(C, nullptr, Counting);
+    ASSERT_TRUE(Counting.flush());
+    EXPECT_GT(Counting.Drains, 1) << "the sink must flush more than once";
+    EXPECT_EQ(Counting.bytes(), Text.size());
+    EXPECT_EQ(Counting.Text, Text);
+
+    std::string Path = ::testing::TempDir() + "streaming." + W.Name;
+    std::string Error;
+    {
+      support::StagedFile File(Path);
+      W.ToSink(C, nullptr, File);
+      ASSERT_TRUE(File.commit(Error)) << Error;
+    }
+    EXPECT_EQ(readBack(Path), Text);
+    std::remove(Path.c_str());
+
+    // The text reads back gate for gate.
+    support::DiagnosticEngine Diags;
+    std::optional<Circuit> Back =
+        std::string(W.Name) == "qc" ? readQc(Text, Diags)
+                                    : interchange::readQasm3(Text, Diags);
+    ASSERT_TRUE(Back.has_value()) << Diags.str();
+    EXPECT_EQ(Back->NumQubits, C.NumQubits);
+    ASSERT_EQ(Back->Gates.size(), C.Gates.size());
+    for (size_t I = 0; I != C.Gates.size(); ++I)
+      ASSERT_TRUE(Back->Gates[I] == C.Gates[I]) << "gate " << I;
+  }
+}
+
+TEST(StreamingEmission, UncommittedStagedFileLeavesDestinationAlone) {
+  std::string Path = ::testing::TempDir() + "streaming_keep.qc";
+  {
+    std::ofstream Out(Path, std::ios::binary);
+    Out << "original";
+  }
+  {
+    support::StagedFile File(Path);
+    writeQc(largeCircuit(), nullptr, File);
+    ASSERT_TRUE(File.flush());
+    // Destroyed without a commit.
+  }
+  EXPECT_EQ(readBack(Path), "original");
+  std::ifstream Temp(Path + ".tmp." + std::to_string(::getpid()));
+  EXPECT_FALSE(Temp.good()) << "an abandoned emission must unlink its temp";
+  std::remove(Path.c_str());
 }

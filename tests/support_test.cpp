@@ -3,10 +3,15 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/Diagnostics.h"
+#include "support/FileIO.h"
 #include "support/PolyFit.h"
 #include "support/Rational.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdio>
+#include <fstream>
+#include <string>
 
 using namespace spire::support;
 
@@ -311,4 +316,54 @@ TEST(SymbolSet, AdoptUnsortedSortsAndDedupes) {
     EXPECT_GT(Sym.id(), Prev);
     Prev = Sym.id();
   }
+}
+
+//===----------------------------------------------------------------------===//
+// readFile
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+std::string writeTempFile(const std::string &Name, const std::string &Text) {
+  std::string Path = ::testing::TempDir() + Name;
+  std::ofstream Out(Path, std::ios::binary);
+  Out << Text;
+  return Path;
+}
+
+} // namespace
+
+TEST(ReadFile, EmptyFile) {
+  std::string Path = writeTempFile("readfile_empty.txt", "");
+  std::string Text = "stale", Error;
+  ASSERT_TRUE(readFile(Path, Text, Error)) << Error;
+  EXPECT_EQ(Text, "");
+  std::remove(Path.c_str());
+}
+
+TEST(ReadFile, FileLargerThanOneMiB) {
+  std::string Expected;
+  for (int I = 0; Expected.size() < (size_t{3} << 19); ++I)
+    Expected += "tof q" + std::to_string(I) + " q" + std::to_string(I + 1) +
+                "\n";
+  std::string Path = writeTempFile("readfile_large.txt", Expected);
+  std::string Text, Error;
+  ASSERT_TRUE(readFile(Path, Text, Error)) << Error;
+  EXPECT_EQ(Text.size(), Expected.size());
+  EXPECT_EQ(Text, Expected);
+  std::remove(Path.c_str());
+}
+
+TEST(ReadFile, MissingFileKeepsItsErrorText) {
+  std::string Path = ::testing::TempDir() + "readfile_missing.txt";
+  std::remove(Path.c_str());
+  std::string Text, Error;
+  EXPECT_FALSE(readFile(Path, Text, Error));
+  EXPECT_EQ(Error, "cannot read " + Path);
+}
+
+TEST(ReadFile, NonRegularFileReadsToEnd) {
+  std::string Text = "stale", Error;
+  ASSERT_TRUE(readFile("/dev/null", Text, Error)) << Error;
+  EXPECT_EQ(Text, "");
 }

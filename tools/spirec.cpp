@@ -464,17 +464,41 @@ parseRunInputs(const std::string &Text) {
   return Result;
 }
 
-void writeOutput(const Options &Opts, const std::string &Text) {
+/// Where an emitted artifact is rendered: a staged file for an output
+/// path, memory otherwise (stdout, or a batch entry's discarded render).
+struct ArtifactOut {
+  std::optional<support::StagedFile> File;
+  std::string Text;
+  std::optional<support::StringSink> Memory;
+
+  explicit ArtifactOut(const std::string &Path) {
+    if (Path.empty())
+      Memory.emplace(Text);
+    else
+      File.emplace(Path);
+  }
+  ArtifactOut(const ArtifactOut &) = delete;
+  ArtifactOut &operator=(const ArtifactOut &) = delete;
+
+  support::OutputSink *sink() {
+    if (File)
+      return &*File;
+    return &*Memory;
+  }
+};
+
+/// Delivers the emitted artifact: commits the staged -o file, or prints
+/// the text rendered for stdout.
+void writeOutput(ArtifactOut &Artifact) {
   support::faultAlloc("write/output");
-  if (Opts.OutputPath.empty()) {
-    std::fputs(Text.c_str(), stdout);
+  if (!Artifact.File) {
+    std::fputs(Artifact.Text.c_str(), stdout);
     return;
   }
   std::string Error;
-  if (!support::writeFileAtomic(Opts.OutputPath, Text, Error,
-                                "write/output")) {
+  if (!Artifact.File->commit(Error, "write/output")) {
     // A bad -o path is a command-line error, like an unreadable input.
-    // The atomic write means a failure here leaves no torn file behind.
+    // The staged write means a failure here leaves no torn file behind.
     std::fprintf(stderr, "spirec: error: %s\n", Error.c_str());
     std::exit(2);
   }
@@ -611,9 +635,21 @@ int runCompilerModes(Options &Opts, driver::CompilationResult &R,
   const bool CacheEligible = Opts.WantEmit && !Opts.Report && !Opts.DumpIR &&
                              !Opts.Analyze && !Opts.RunInputs &&
                              Opts.CheckEquivPath.empty();
+  // A malformed --run spec exits here, before an artifact is staged.
+  std::vector<std::pair<std::string, uint64_t>> RunInputs;
+  if (Opts.RunInputs)
+    RunInputs = parseRunInputs(*Opts.RunInputs);
+
+  // The artifact streams into a staged -o file, committed below where
+  // every other mode has passed, so a failed --analyze or a tripped
+  // budget leaves no artifact. For stdout it is held in memory and
+  // printed after the other modes' output.
+  std::optional<ArtifactOut> Artifact;
+  if (Opts.WantEmit)
+    Artifact.emplace(Opts.OutputPath);
   driver::Service Svc(CacheEligible ? Cache : nullptr);
-  driver::ServiceResponse Resp =
-      Svc.handle({Pipe, std::move(Source)}, Opts.WantEmit);
+  driver::ServiceResponse Resp = Svc.handle(
+      {Pipe, std::move(Source)}, Artifact ? Artifact->sink() : nullptr);
   R = std::move(Resp.Result);
   if (Opts.Timings) {
     for (const driver::StageTiming &T : R.Stages)
@@ -632,10 +668,16 @@ int runCompilerModes(Options &Opts, driver::CompilationResult &R,
                    static_cast<long long>(R.QoptStats->MergedRotations),
                    static_cast<long long>(R.QoptStats->CancelPasses),
                    static_cast<long long>(R.QoptStats->WorklistVisits));
-    // The first ROADMAP item-2 counters: cache effectiveness and interner
-    // size, scraped from the metrics registry (zero hits/misses simply
-    // means no mode needed the cost model this run).
+    // Emission (render plus write) and the counters below are scraped
+    // from the metrics registry.
     auto &Reg = obs::Registry::global();
+    if (obs::Registry::Histogram Emit = Reg.histogram("emit.seconds");
+        Emit.count() != 0)
+      std::fprintf(stderr, "spirec: %-15s %.3f s  %10lld bytes\n", "emit",
+                   Emit.sum(),
+                   static_cast<long long>(Reg.counter("emit.bytes").value()));
+    // Cost-model cache effectiveness and interner size (zero hits/misses
+    // simply means no mode needed the cost model this run).
     std::fprintf(
         stderr, "spirec: costmodel profile cache: %lld hits, %lld misses\n",
         static_cast<long long>(
@@ -680,7 +722,7 @@ int runCompilerModes(Options &Opts, driver::CompilationResult &R,
   // -- Interpret. ----------------------------------------------------------
   if (Opts.RunInputs) {
     sim::MachineState State = sim::MachineState::make(Pipe.Target.HeapCells);
-    for (const auto &[Name, Value] : parseRunInputs(*Opts.RunInputs))
+    for (const auto &[Name, Value] : RunInputs)
       State.Regs[Name] = Value;
     sim::Interpreter Interp(*R.Optimized, Pipe.Target);
     if (!Interp.run(State)) {
@@ -762,11 +804,11 @@ int runCompilerModes(Options &Opts, driver::CompilationResult &R,
                    static_cast<long long>(R.QoptStats->MergedRotations));
   }
 
-  // -- Emit the final circuit and check equivalence. -----------------------
-  // The service stored a cacheable artifact before handing it back, so a
-  // crash during this write still leaves the next run a warm entry.
-  if (Opts.WantEmit)
-    writeOutput(Opts, Resp.Artifact);
+  // -- Commit the emitted circuit and check equivalence. -------------------
+  // The service stored a cacheable artifact before returning, so a crash
+  // during this commit still leaves the next run a warm entry.
+  if (Artifact)
+    writeOutput(*Artifact);
   if (!Opts.CheckEquivPath.empty()) {
     const circuit::Circuit *Final = R.finalCircuit();
     if (!Final)
@@ -861,15 +903,16 @@ BatchOutcome runRequest(driver::Service &Svc, driver::PipelineOptions Pipe,
         if (!support::readFile(InPath, Source, Error, "io/input")) {
           Out.Detail = Error;
         } else {
-          driver::ServiceResponse Resp = Svc.handle({Pipe, std::move(Source)});
+          ArtifactOut Artifact(OutPath);
+          driver::ServiceResponse Resp =
+              Svc.handle({Pipe, std::move(Source)}, Artifact.sink());
           Out.Cached = Resp.CacheHit;
           if (Resp.Result.LimitHit)
             Out.LimitHit = support::resourceLimitName(*Resp.Result.LimitHit);
           if (!Resp.OK)
             Out.Detail = Resp.Error;
-          else if (!OutPath.empty() &&
-                   !support::writeFileAtomic(OutPath, Resp.Artifact, Error,
-                                             "write/output"))
+          else if (Artifact.File &&
+                   !Artifact.File->commit(Error, "write/output"))
             Out.Detail = Error;
           else
             Out.OK = true;
