@@ -471,18 +471,6 @@ CleanSpec CleanSpec::forLayout(const CircuitLayout &Layout,
   return S;
 }
 
-const char *cleannessName(Cleanness C) {
-  switch (C) {
-  case Cleanness::Clean:
-    return "clean";
-  case Cleanness::Dirty:
-    return "dirty";
-  case Cleanness::Unknown:
-    return "unknown";
-  }
-  return "?";
-}
-
 size_t ParityResult::count(Cleanness C) const {
   size_t N = 0;
   for (Cleanness W : WireExit)

@@ -158,8 +158,6 @@ enum class Cleanness : uint8_t {
   Unknown, ///< Left the affine fragment; no claim (sound default).
 };
 
-const char *cleannessName(Cleanness C);
-
 struct ParityResult {
   /// Per-wire exit classification relative to |0>.
   std::vector<Cleanness> WireExit;

@@ -363,18 +363,6 @@ std::string strStmts(const StmtList &Stmts, unsigned Indent) {
 // Declarations
 //===----------------------------------------------------------------------===//
 
-FunDecl FunDecl::clone() const {
-  FunDecl F;
-  F.Name = Name;
-  F.SizeParam = SizeParam;
-  F.Params = Params;
-  F.ReturnTy = ReturnTy;
-  F.Body = cloneStmts(Body);
-  F.ReturnVar = ReturnVar;
-  F.Loc = Loc;
-  return F;
-}
-
 std::string FunDecl::str() const {
   std::string Out = "fun " + Name;
   if (!SizeParam.empty())

@@ -234,7 +234,6 @@ struct FunDecl {
   mutable support::Symbol ReturnVarSym;
   mutable std::vector<support::Symbol> ParamSyms;
 
-  FunDecl clone() const;
   std::string str() const;
 };
 

@@ -49,15 +49,6 @@ std::string Gate::str() const {
   return Out;
 }
 
-std::string Circuit::str() const {
-  std::string Out =
-      "circuit over " + std::to_string(NumQubits) + " qubits:\n";
-  for (const Gate &G : Gates) {
-    Out += "  " + G.str() + "\n";
-  }
-  return Out;
-}
-
 std::string checkGateOperands(Qubit Target, const Qubit *CtrlBegin,
                               const Qubit *CtrlEnd, unsigned NumQubits) {
   auto outOfRange = [&](Qubit Q) {

@@ -237,7 +237,6 @@ struct Circuit {
   }
 
   size_t size() const { return Gates.size(); }
-  std::string str() const;
 };
 
 //===----------------------------------------------------------------------===//

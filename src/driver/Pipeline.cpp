@@ -430,10 +430,8 @@ CompilationResult CompilationPipeline::run(std::string_view Source) const {
   if (!OK)
     return R;
 
-  // -- Circuit compilation and decomposition (Section 7). ------------------
+  // -- Circuit compilation (Section 7). ------------------------------------
   if (Options.BuildCircuit && !stopAfter(Stage::CircuitCompile)) {
-    bool QoptWillRun = Options.CircuitOpt != CircuitOptimizerKind::None &&
-                       !stopAfter(Stage::Qopt);
     runStage(R, Stage::CircuitCompile, [&](obs::Span &Sp) {
       R.Compiled.emplace(
           circuit::compileToCircuit(*R.Optimized, Options.Target));
@@ -441,33 +439,9 @@ CompilationResult CompilationPipeline::run(std::string_view Source) const {
           static_cast<int64_t>(R.Compiled->Circ.Gates.size()));
       Sp.arg("gates", static_cast<int64_t>(R.Compiled->Circ.Gates.size()));
       Sp.arg("qubits", R.Compiled->Circ.NumQubits);
-      if (!QoptWillRun) {
-        switch (Options.EmitLevel) {
-        case CircuitLevel::MCX:
-          // finalCircuit() serves the compiled circuit directly; do not
-          // duplicate the asymptotically large gate list.
-          break;
-        case CircuitLevel::Toffoli:
-          R.Final.emplace(decompose::toToffoli(R.Compiled->Circ));
-          break;
-        case CircuitLevel::CliffordT:
-          R.Final.emplace(decompose::toCliffordT(R.Compiled->Circ));
-          break;
-        }
-        if (R.Final)
-          support::Governor::pollGates(
-              static_cast<int64_t>(R.Final->Gates.size()));
-      }
-      if (Options.VerifyEach) {
-        if (!verifyCircuitArtifact(R.Compiled->Circ, &R.Compiled->Layout,
-                                   R.Diags, "verify(circuit-compile)"))
-          return false;
-        if (R.Final &&
-            !verifyCircuitArtifact(*R.Final, &R.Compiled->Layout, R.Diags,
-                                   "verify(decompose)"))
-          return false;
-      }
-      return true;
+      return !Options.VerifyEach ||
+             verifyCircuitArtifact(R.Compiled->Circ, &R.Compiled->Layout,
+                                   R.Diags, "verify(circuit-compile)");
     });
   }
 
@@ -477,7 +451,7 @@ CompilationResult CompilationPipeline::run(std::string_view Source) const {
 
 /// The stages downstream of circuit production, shared by the Tower and
 /// circuit input axes: the qopt baselines, gate-set legalization, and
-/// cost/resource estimation.
+/// cost analysis.
 void CompilationPipeline::runBackendStages(CompilationResult &R) const {
   auto stopAfter = [&](Stage S) {
     return static_cast<int>(Options.StopAfter) < static_cast<int>(S);
@@ -548,35 +522,14 @@ void CompilationPipeline::runBackendStages(CompilationResult &R) const {
       return;
   }
 
-  // -- Cost analysis and resource estimation (Sections 5 and 1). Cost
-  // figures need the lowered IR, which the circuit axis does not have.
-  bool WantCost = Options.AnalyzeCost && R.Optimized.has_value();
-  if ((WantCost || Options.EstimateResources) && !stopAfter(Stage::Estimate)
-      && !R.Failed) {
+  // -- Cost analysis (Section 5). Cost figures need the lowered IR,
+  // which the circuit axis does not have.
+  if (Options.AnalyzeCost && R.Optimized && !stopAfter(Stage::Estimate) &&
+      !R.Failed) {
     runStage(R, Stage::Estimate, [&] {
-      if (WantCost) {
-        if (Options.AnalyzeUnoptimized)
-          R.UnoptimizedCost =
-              costmodel::analyzeProgram(*R.Core, Options.Target);
-        R.OptimizedCost =
-            costmodel::analyzeProgram(*R.Optimized, Options.Target);
-      }
-      if (Options.EstimateResources) {
-        if (const circuit::Circuit *Circ = R.finalCircuit()) {
-          R.Resources = estimate::estimateCircuit(*Circ,
-                                                  Options.SurfaceModel);
-        } else if (R.Optimized) {
-          costmodel::Cost C =
-              R.OptimizedCost
-                  ? *R.OptimizedCost
-                  : costmodel::analyzeProgram(*R.Optimized, Options.Target);
-          // Without a compiled circuit only gate-level counts are known;
-          // the MCX count stands in for the Clifford budget and the
-          // logical-qubit count is unreported.
-          R.Resources = estimate::estimateCounts(C.T, C.MCX, 0,
-                                                 Options.SurfaceModel);
-        }
-      }
+      if (Options.AnalyzeUnoptimized)
+        R.UnoptimizedCost = costmodel::analyzeProgram(*R.Core, Options.Target);
+      R.OptimizedCost = costmodel::analyzeProgram(*R.Optimized, Options.Target);
       return true;
     });
   }

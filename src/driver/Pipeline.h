@@ -31,7 +31,6 @@
 #include "circuit/Compiler.h"
 #include "circuit/Target.h"
 #include "costmodel/CostModel.h"
-#include "estimate/ResourceEstimator.h"
 #include "interchange/Interchange.h"
 #include "ir/Core.h"
 #include "lowering/Lower.h"
@@ -61,10 +60,6 @@ enum class Stage {
 
 /// Short lower-case stage name, e.g. "circuit-compile".
 const char *stageName(Stage S);
-
-/// Gate level of the emitted circuit (the decomposition ladder of
-/// Section 8.1: multiply-controlled X, then Toffoli, then Clifford+T).
-enum class CircuitLevel { MCX, Toffoli, CliffordT };
 
 /// The circuit-optimizer baselines of Section 8.3, keyed by the system
 /// each one stands in for (see DESIGN.md section 2). `None` leaves the
@@ -130,21 +125,11 @@ struct PipelineOptions {
   /// Format renderFinalCircuit() emits.
   interchange::Format OutputFormat = interchange::Format::Qc;
   /// Target gate basis; when set, the legalize stage lowers the final
-  /// circuit onto it via the interchange legalizer (MCX is the no-op
-  /// basis). Gates with no exact realization in the basis fail the
+  /// circuit onto it via the interchange legalizer — the decomposition
+  /// ladder of Section 8.1: Toffoli, then Clifford+T (`cx`); MCX is the
+  /// no-op basis. Gates with no exact realization in the basis fail the
   /// stage with a diagnostic.
   std::optional<interchange::Basis> Basis;
-  /// Basis-state budget for equivalence checking's sampled modes. The
-  /// pipeline itself does not run equivalence checks; this rides along
-  /// for the check-equiv consumer (the spirec CLI). Classical (X-only)
-  /// circuit pairs are swept by the bit-sliced batch backend — small
-  /// ones exhaustively over all 2^qubits states, where this budget is
-  /// ignored, larger ones in random 64-state blocks covering at least
-  /// this many states. A request above the circuits' 2^qubits distinct
-  /// states clamps to an exhaustive sweep; only non-classical circuits
-  /// (state-vector path, no exhaustive mode) diagnose an explicit
-  /// over-request.
-  unsigned CheckEquivSamples = 32;
 
   /// Spire's program-level optimizations (Section 6).
   opt::SpireOptions Spire = opt::SpireOptions::all();
@@ -185,11 +170,8 @@ struct PipelineOptions {
   /// stop at the estimate stage, which is the paper's headline use case:
   /// analyze without building the asymptotically large circuit.
   bool BuildCircuit = false;
-  /// Decomposition level of the emitted circuit.
-  CircuitLevel EmitLevel = CircuitLevel::MCX;
   /// Circuit-optimizer baseline applied by the qopt stage. When not
-  /// `None` it consumes the MCX-level circuit and produces Clifford+T,
-  /// overriding `EmitLevel`.
+  /// `None` it consumes the MCX-level circuit and produces Clifford+T.
   CircuitOptimizerKind CircuitOpt = CircuitOptimizerKind::None;
 
   /// Whether the estimate stage computes cost-model figures (cheap,
@@ -199,11 +181,6 @@ struct PipelineOptions {
   /// (for before/after reports); measurement loops that only need the
   /// optimized figure turn this off.
   bool AnalyzeUnoptimized = true;
-  /// Whether the estimate stage also derives a surface-code resource
-  /// estimate from the optimized program's cost (or the compiled
-  /// circuit when one was built).
-  bool EstimateResources = false;
-  estimate::SurfaceCodeModel SurfaceModel;
 
   static PipelineOptions forEntry(std::string Entry, int64_t Size = 0) {
     PipelineOptions O;
@@ -252,12 +229,11 @@ struct CompilationResult {
   /// The compiled MCX circuit + layout — or, on the circuit-input axis,
   /// the parsed input circuit with an empty layout.
   std::optional<circuit::CompileResult> Compiled;
-  /// The decomposed / qopt-optimized / legalized circuit, when a stage
-  /// below the MCX level produced one. At the MCX level this stays empty
+  /// The qopt-optimized / legalized circuit, when a stage after
+  /// circuit-compile produced one. Otherwise this stays empty
   /// (the compiled circuit is not duplicated); use finalCircuit() to
   /// read the emitted circuit uniformly.
   std::optional<circuit::Circuit> Final;
-  std::optional<estimate::Estimate> Resources;
   /// Work counters of the qopt stage (cancelled pairs, merged rotations),
   /// present when a circuit optimizer ran. Rendered next to the stage
   /// timings by consumers that report them (spirec --timings, benches).
@@ -265,8 +241,8 @@ struct CompilationResult {
 
   bool succeeded() const { return !Failed.has_value(); }
 
-  /// The circuit at the requested emit level: the decomposed/optimized
-  /// one when a stage produced it, otherwise the compiled MCX circuit.
+  /// The emitted circuit: the optimized/legalized one when a stage
+  /// produced it, otherwise the compiled MCX circuit.
   /// Null when no circuit was built.
   const circuit::Circuit *finalCircuit() const {
     if (Final)

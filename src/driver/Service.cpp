@@ -41,7 +41,6 @@ std::string optionsFingerprint(const PipelineOptions &O) {
   kn("maxinst", O.MaxInlineInstances);
   kn("maxdepth", O.MaxInlineDepth);
   kn("stopafter", static_cast<int>(O.StopAfter));
-  kn("emitlevel", static_cast<int>(O.EmitLevel));
   kn("copt", static_cast<int>(O.CircuitOpt));
   return F;
 }

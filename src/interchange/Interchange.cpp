@@ -16,7 +16,6 @@
 #include <algorithm>
 #include <cctype>
 #include <chrono>
-#include <limits>
 
 namespace spire::interchange {
 
@@ -293,7 +292,7 @@ EquivalenceReport checkEquivalence(const Circuit &A, const Circuit &B,
     Report.BitSliced = true;
     // Exhaustive whenever the whole space is small enough — or the
     // caller's budget covers it anyway.
-    bool Exhaustive = Common <= Opts.MaxExhaustiveQubits ||
+    bool Exhaustive = Common <= ExhaustiveQubitLimit ||
                       static_cast<uint64_t>(Opts.Samples) >= Space;
     // Whole 64-state blocks: every sweep advances at least 64 states
     // (one sample costs the same as 64 on this backend). An exhaustive
@@ -320,9 +319,6 @@ EquivalenceReport checkEquivalence(const Circuit &A, const Circuit &B,
     Reg.counter("sim.bitsliced.blocks_run") += static_cast<int64_t>(Blocks);
     if (Exhaustive)
       ++Reg.counter("equiv.exhaustive_sweeps");
-    Report.SamplesRun = static_cast<unsigned>(
-        std::min<uint64_t>(Report.StatesRun,
-                           std::numeric_limits<unsigned>::max()));
     Report.Seconds = secondsSince(Start);
     return Report;
   }
@@ -333,9 +329,9 @@ EquivalenceReport checkEquivalence(const Circuit &A, const Circuit &B,
   Report.Exhaustive = static_cast<uint64_t>(Samples) >= Space;
   obs::Span Sp("equiv/state-vector");
   auto noteSamples = [&] {
-    Sp.arg("samples_run", Report.SamplesRun);
+    Sp.arg("samples_run", static_cast<int64_t>(Report.StatesRun));
     obs::Registry::global().counter("sim.statevector.samples_run") +=
-        Report.SamplesRun;
+        static_cast<int64_t>(Report.StatesRun);
   };
   for (unsigned I = 0; I != Samples; ++I) {
     sim::BitString SA = testState(Common, A.NumQubits, Samples, I, Rng);
@@ -344,7 +340,6 @@ EquivalenceReport checkEquivalence(const Circuit &A, const Circuit &B,
       SB.set(Q, SA.get(Q));
     sim::SparseState FA = sim::runState(A, SA);
     sim::SparseState FB = sim::runState(B, SB);
-    ++Report.SamplesRun;
     ++Report.StatesRun;
     // Project the wider state onto the common wires, insisting the
     // ancilla tail is exactly |0> in every branch.

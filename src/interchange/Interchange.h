@@ -16,10 +16,10 @@
 /// Equivalence: the checker dispatches on circuit classification. X-only
 /// (classical reversible) pairs — every compiled Tower program without
 /// `h` — run through the bit-sliced batch simulator (sim::BitSliced),
-/// 64 basis states per machine word: at or below
-/// EquivalenceOptions::MaxExhaustiveQubits common qubits the sweep
-/// covers *all* 2^n basis states (a proof, reported Exhaustive), and
-/// above it the requested sample budget runs as random 64-state blocks.
+/// 64 basis states per machine word: at or below ExhaustiveQubitLimit
+/// common qubits the sweep covers *all* 2^n basis states (a proof,
+/// reported Exhaustive), and above it the requested sample budget runs
+/// as random 64-state blocks.
 /// Anything with H or phase gates falls back to the sparse state-vector
 /// simulator and sim::statesEquivalent (small circuits only). A circuit
 /// with *more* qubits than the other (legalization adds ancillas) is
@@ -85,6 +85,11 @@ std::optional<circuit::Circuit> readCircuit(std::string_view Text, Format F,
 /// exhaustively.
 bool isClassical(const circuit::Circuit &C);
 
+/// X-only comparisons at or below this many common qubits are swept
+/// exhaustively regardless of the sample budget: 2^20 states are only
+/// 16384 bit-sliced blocks.
+inline constexpr unsigned ExhaustiveQubitLimit = 20;
+
 /// Outcome of an equivalence check over basis states.
 struct EquivalenceReport {
   bool Equivalent = false;
@@ -96,8 +101,6 @@ struct EquivalenceReport {
   bool BitSliced = false;
   /// Basis states actually evaluated (distinct states when Exhaustive).
   uint64_t StatesRun = 0;
-  /// Legacy alias of StatesRun, clamped to unsigned.
-  unsigned SamplesRun = 0;
   /// Wall-clock seconds of the sweep (states/sec = StatesRun/Seconds).
   double Seconds = 0;
   /// Human-readable mismatch description (empty when Equivalent).
@@ -114,10 +117,6 @@ struct EquivalenceOptions {
   unsigned Samples = 32;
   /// Seed of the deterministic SplitMix64 sample stream.
   uint64_t Seed = 0x5eedc1c5u;
-  /// X-only comparisons at or below this many common qubits are swept
-  /// exhaustively regardless of Samples: 2^20 states are only 16384
-  /// bit-sliced blocks.
-  unsigned MaxExhaustiveQubits = 20;
   /// Validates the bit-sliced backend against the gate-at-a-time
   /// sim::runBasis interpreter, lane-for-lane on one state per 64-state
   /// block — the --verify-each hook. Any disagreement fails the check

@@ -107,13 +107,6 @@ void CoreExpr::appendVars(std::vector<Symbol> &Out) const {
     Out.push_back(B.Var);
 }
 
-void CoreExpr::collectVars(SymbolSet &Out) const {
-  if (A.isVar())
-    Out.insert(A.Var);
-  if ((K == Kind::Pair || K == Kind::Binary) && B.isVar())
-    Out.insert(B.Var);
-}
-
 std::string CoreExpr::str() const {
   switch (K) {
   case Kind::AtomE:

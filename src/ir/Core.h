@@ -21,8 +21,8 @@
 /// process-wide spelling arena), so every scope lookup, mod-set query,
 /// and equality test in the middle end is an integer operation; spellings
 /// are materialized only by str() and diagnostics. The variable analyses
-/// (modSet, allVars, collectVars) return flat sorted SymbolSets built
-/// with one sort+unique pass — no per-element node allocation.
+/// (modSet, allVars) return flat sorted SymbolSets built with one
+/// sort+unique pass — no per-element node allocation.
 ///
 /// Recursion discipline: const-arg recursion lowers to IR whose
 /// with-block nesting grows with the recursion depth, so *everything*
@@ -115,7 +115,6 @@ struct CoreExpr {
   bool isConst() const { return K == Kind::AtomE && A.isConst(); }
   bool isZeroConst() const { return isConst() && A.ConstBits == 0; }
 
-  void collectVars(SymbolSet &Out) const;
   /// Appends the variable operands (unsorted, possibly duplicated) —
   /// the building block the sort+unique analyses batch over.
   void appendVars(std::vector<Symbol> &Out) const;

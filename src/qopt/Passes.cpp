@@ -598,8 +598,7 @@ Circuit searchRewrite(const Circuit &C, const SearchOptions &Options) {
     // only reshuffle commuting gates. Stop burning the budget.
     if (Improved)
       Stale = 0;
-    else if (Options.MaxStaleRounds != 0 &&
-             ++Stale >= Options.MaxStaleRounds)
+    else if (++Stale >= StaleRoundLimit)
       break;
     if (Current.Gates.empty())
       break;

@@ -108,21 +108,22 @@ circuit::Circuit cancelAdjacentGatesReference(const circuit::Circuit &C,
                                               const CancelOptions &Options);
 circuit::Circuit phaseFoldReference(const circuit::Circuit &C);
 
+/// Consecutive no-improvement rounds searchRewrite tolerates before
+/// exiting early.
+inline constexpr unsigned StaleRoundLimit = 3;
+
 /// Search-based optimization under a wall-clock budget: repeated
 /// small-window cancellation, phase merging, and randomized commuting
 /// reorderings, keeping the best circuit found. Exits before the
-/// deadline after MaxStaleRounds consecutive rounds with no cancellation
+/// deadline after StaleRoundLimit consecutive rounds with no cancellation
 /// and no T-count improvement (a fixpoint the random transpositions are
-/// not escaping); until then, and with MaxStaleRounds = 0, it runs the
-/// full budget. Deterministic for a fixed seed whenever it exits via the
-/// stale-round check rather than the wall clock.
+/// not escaping); until then it runs the full budget. Deterministic for
+/// a fixed seed whenever it exits via the stale-round check rather than
+/// the wall clock.
 struct SearchOptions {
   double TimeoutSeconds = 1.0;
   unsigned WindowSize = 16;
   uint64_t Seed = 1;
-  /// Consecutive no-improvement rounds tolerated before exiting early;
-  /// 0 keeps the legacy burn-the-whole-budget behavior.
-  unsigned MaxStaleRounds = 3;
 };
 circuit::Circuit searchRewrite(const circuit::Circuit &C,
                                const SearchOptions &Options);

@@ -43,10 +43,6 @@ void BatchState::loadCounter(uint64_t B, uint64_t Base, unsigned Width) {
   loadCounterBlock(block(B), Qubits, Base, Width);
 }
 
-void BatchState::loadRandom(uint64_t B, unsigned Width, uint64_t &Rng) {
-  loadRandomBlock(block(B), Qubits, Width, Rng);
-}
-
 std::optional<BitSlicedSimulator>
 BitSlicedSimulator::compile(const Circuit &C) {
   BitSlicedSimulator Sim;

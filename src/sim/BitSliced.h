@@ -88,19 +88,18 @@ public:
   /// wires at or above Width stay |0>). Base must be block-aligned.
   void loadCounter(uint64_t B, uint64_t Base, unsigned Width);
 
-  /// Loads block `B` with 64 independent uniformly random states over
-  /// the low `Width` wires (SplitMix64 stream; wires above stay |0>).
-  void loadRandom(uint64_t B, unsigned Width, uint64_t &Rng);
-
 private:
   unsigned Qubits;
   uint64_t Blocks;
   std::vector<uint64_t> Lanes;
 };
 
-/// Fills one raw lane block (`NumQubits` words at `L`) exactly like
-/// BatchState::loadCounter / loadRandom — for callers that stream blocks
-/// through scratch buffers instead of materializing a whole BatchState.
+/// Fills one raw lane block (`NumQubits` words at `L`): with consecutive
+/// basis states exactly like BatchState::loadCounter, or with 64
+/// independent uniformly random states over the low `Width` wires
+/// (SplitMix64 stream; wires above stay |0>) — for callers that stream
+/// blocks through scratch buffers instead of materializing a whole
+/// BatchState.
 void loadCounterBlock(uint64_t *L, unsigned NumQubits, uint64_t Base,
                       unsigned Width);
 void loadRandomBlock(uint64_t *L, unsigned NumQubits, unsigned Width,

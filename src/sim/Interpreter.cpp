@@ -9,25 +9,6 @@ using namespace spire::ir;
 
 namespace spire::sim {
 
-std::string MachineState::str() const {
-  // Presentation boundary: materialize spellings and sort by them, so
-  // the dump does not depend on global interning order (Regs itself is
-  // ordered by symbol id).
-  std::vector<std::pair<std::string, uint64_t>> Sorted;
-  Sorted.reserve(Regs.size());
-  for (const auto &[Name, Value] : Regs)
-    Sorted.emplace_back(Name.str(), Value);
-  std::sort(Sorted.begin(), Sorted.end());
-  std::string Out = "regs {";
-  for (const auto &[Name, Value] : Sorted)
-    Out += " " + Name + "=" + std::to_string(Value);
-  Out += " } mem {";
-  for (size_t A = 1; A < Mem.size(); ++A)
-    Out += " [" + std::to_string(A) + "]=" + std::to_string(Mem[A]);
-  Out += " }";
-  return Out;
-}
-
 uint64_t Interpreter::maskOf(const ast::Type *Ty) const {
   unsigned W = widthOf(Ty);
   assert(W <= 64 && "values wider than 64 bits are unsupported");

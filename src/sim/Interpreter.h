@@ -51,7 +51,6 @@ struct MachineState {
   friend bool operator==(const MachineState &A, const MachineState &B) {
     return A.Regs == B.Regs && A.Mem == B.Mem;
   }
-  std::string str() const;
 };
 
 /// Executes a core program on a machine state. Unbound variables read as

@@ -47,9 +47,8 @@
 namespace spire::support {
 
 /// Bumped whenever the entry format or key derivation changes; part of
-/// both the manifest header and the cache key, so stale formats read as
-/// misses rather than garbage.
-inline constexpr int ArtifactCacheFormatVersion = 1;
+/// the cache key, so stale formats read as misses rather than garbage.
+inline constexpr int ArtifactCacheFormatVersion = 2;
 
 /// Stable 64-bit content hash (SplitMix64 finalizer over 8-byte
 /// little-endian chunks). tools/crash_check.py re-implements this to

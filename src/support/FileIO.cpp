@@ -11,7 +11,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 
 #include <dirent.h>
 #include <fcntl.h>
@@ -30,6 +29,12 @@ bool isNonRegularDestination(const std::string &Path) {
   if (::stat(Path.c_str(), &St) != 0)
     return false; // Missing: the rename will create a regular file.
   return !S_ISREG(St.st_mode);
+}
+
+/// The staging temp of a regular destination; the `.tmp.<pid>` suffix is
+/// what sweepStaleTempFiles recognizes.
+std::string stagingPath(const std::string &Path) {
+  return Path + ".tmp." + std::to_string(::getpid());
 }
 
 /// read(2) until \p N bytes or end of file; returns the count read, or
@@ -191,7 +196,7 @@ bool StringSink::drain(const char *Data, size_t N) {
 
 StagedFile::StagedFile(std::string Path) : Path(std::move(Path)) {
   if (!isNonRegularDestination(this->Path))
-    Temp = this->Path + ".tmp." + std::to_string(::getpid());
+    Temp = stagingPath(this->Path);
 }
 
 StagedFile::~StagedFile() { discard(); }
@@ -269,20 +274,26 @@ bool writeFileAtomic(const std::string &Path, std::string_view Contents,
 }
 
 bool probeWritable(const std::string &Path, std::string &Error) {
-  struct stat St;
-  const bool Existed = ::stat(Path.c_str(), &St) == 0;
-  // Append mode creates a missing file without truncating an existing
-  // one, so the probe is non-destructive either way.
-  {
-    std::ofstream Out(Path, std::ios::binary | std::ios::app);
-    if (!Out) {
-      Error = "cannot open " + Path + " for writing";
-      return false;
+  // Probe exactly what a StagedFile will open: a non-regular destination
+  // by permission only (opening a FIFO would block on its reader, or
+  // hand it an early end of file), otherwise a fresh temp beside the
+  // path, which leaves existing content untouched.
+  bool OK;
+  if (isNonRegularDestination(Path)) {
+    OK = ::access(Path.c_str(), W_OK) == 0;
+  } else {
+    std::string Temp = stagingPath(Path);
+    int Fd = ::open(Temp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+                    0666);
+    OK = Fd >= 0;
+    if (OK) {
+      ::close(Fd);
+      ::unlink(Temp.c_str());
     }
   }
-  if (!Existed)
-    std::remove(Path.c_str());
-  return true;
+  if (!OK)
+    Error = "cannot open " + Path + " for writing";
+  return OK;
 }
 
 int sweepStaleTempFiles(const std::string &Dir) {

@@ -205,10 +205,11 @@ private:
 bool writeFileAtomic(const std::string &Path, std::string_view Contents,
                      std::string &Error, const char *FaultSite = nullptr);
 
-/// Cheap writability probe for \p Path: verifies the destination (or a
-/// fresh file beside it) can be opened for writing, without truncating
-/// existing content. Lets spirec reject a bad output path up front
-/// (exit 2) before spending the compile.
+/// Cheap writability probe for \p Path: verifies a StagedFile for it can
+/// open what it will write — a fresh temp beside a regular or missing
+/// path, or (by permission only) a non-regular destination — without
+/// touching existing content. Lets spirec reject a bad output path up
+/// front (exit 2) before spending the compile.
 bool probeWritable(const std::string &Path, std::string &Error);
 
 /// Removes orphaned `*.tmp.<pid>` staging files in \p Dir left behind by

@@ -51,17 +51,6 @@ std::string Polynomial::str(const std::string &Var) const {
   return Out;
 }
 
-bool operator==(const Polynomial &A, const Polynomial &B) {
-  size_t N = std::max(A.Coeffs.size(), B.Coeffs.size());
-  for (size_t K = 0; K != N; ++K) {
-    Rational CA = K < A.Coeffs.size() ? A.Coeffs[K] : Rational();
-    Rational CB = K < B.Coeffs.size() ? B.Coeffs[K] : Rational();
-    if (CA != CB)
-      return false;
-  }
-  return true;
-}
-
 Polynomial fitPolynomial(int64_t StartX, const std::vector<int64_t> &Values) {
   assert(!Values.empty() && "fitting requires at least one sample");
 

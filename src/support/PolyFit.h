@@ -36,8 +36,6 @@ struct Polynomial {
   /// Renders in the paper's style, descending degree, e.g.
   /// "15722n^2+19292n+3934" or "(3076192/3)d^3+5099374d^2".
   std::string str(const std::string &Var = "n") const;
-
-  friend bool operator==(const Polynomial &A, const Polynomial &B);
 };
 
 /// Interpolates the lowest-degree polynomial through the samples

@@ -24,9 +24,9 @@
 /// red-black-tree rebalancing on heap-allocated keys.
 ///
 /// SymbolSet is the companion flat set: a sorted vector of ids with
-/// binary-search membership. The IR analyses (modSet, allVars,
-/// collectVars) return SymbolSets built with one sort+unique over a
-/// scratch vector — no per-element node allocation.
+/// binary-search membership. The IR analyses (modSet, allVars) return
+/// SymbolSets built with one sort+unique over a scratch vector — no
+/// per-element node allocation.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -453,7 +453,6 @@ TEST(CacheKey, TracksOutputAffectingOptionsOnly) {
   O = Base;
   O.Limits.TimeoutMs = 1000;
   O.VerifyEach = !O.VerifyEach;
-  O.CheckEquivSamples = 999;
   EXPECT_EQ(driver::cacheKeyFor(O, Source).Hi, K0.Hi);
 }
 

@@ -76,8 +76,8 @@ TEST(DriverStages, FullRunProducesAllArtifacts) {
 
   EXPECT_FALSE(R.Core->Body.empty());
   EXPECT_FALSE(R.Compiled->Circ.Gates.empty());
-  // EmitLevel defaults to MCX: the final circuit IS the compiled one,
-  // served without duplication.
+  // With no basis and no optimizer the final circuit IS the compiled
+  // one, served without duplication.
   EXPECT_FALSE(R.Final.has_value());
   EXPECT_EQ(R.finalCircuit(), &R.Compiled->Circ);
 }
@@ -150,9 +150,10 @@ TEST(DriverStages, StopBeforeQoptStillYieldsAFinalCircuit) {
 TEST(DriverStages, DecompositionLevelIsHonored) {
   PipelineOptions Opts;
   Opts.BuildCircuit = true;
-  Opts.EmitLevel = driver::CircuitLevel::CliffordT;
+  Opts.Basis = interchange::Basis::CX;
   CompilationResult R = compileFig3(Opts);
   ASSERT_TRUE(R.succeeded()) << R.Diags.str();
+  EXPECT_GE(stageIndex(R, Stage::Legalize), 0);
 
   // Decomposition preserves T-complexity and leaves only Clifford+T
   // gates (no gate keeps more than one control).
@@ -177,17 +178,6 @@ TEST(DriverStages, QoptStageRunsCircuitOptimizer) {
     EXPECT_LE(G.numControls(), 1u);
 }
 
-TEST(DriverStages, ResourceEstimateFromCostModel) {
-  PipelineOptions Opts;
-  Opts.EstimateResources = true;
-  CompilationResult R = compileFig3(Opts);
-
-  ASSERT_TRUE(R.succeeded()) << R.Diags.str();
-  ASSERT_TRUE(R.Resources.has_value());
-  EXPECT_EQ(R.Resources->TCount, R.OptimizedCost->T);
-  EXPECT_GT(R.Resources->SpacetimeNANDs, 0.0);
-}
-
 //===----------------------------------------------------------------------===//
 // Per-stage timing
 //===----------------------------------------------------------------------===//
@@ -196,7 +186,6 @@ TEST(DriverTiming, StagesExecuteInPipelineOrder) {
   PipelineOptions Opts;
   Opts.BuildCircuit = true;
   Opts.CircuitOpt = driver::CircuitOptimizerKind::RotationMerging;
-  Opts.EstimateResources = true;
   CompilationResult R = compileFig3(Opts);
   ASSERT_TRUE(R.succeeded()) << R.Diags.str();
 

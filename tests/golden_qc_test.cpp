@@ -21,6 +21,7 @@
 #include <cstdlib>
 #include <iterator>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -46,11 +47,13 @@ int64_t goldenSize(const benchmarks::BenchmarkProgram &B) {
 }
 
 std::string compileTo(const benchmarks::BenchmarkProgram &B,
-                      interchange::Format Format) {
+                      interchange::Format Format,
+                      std::optional<interchange::Basis> Basis = {}) {
   driver::PipelineOptions Opts;
   Opts.BuildCircuit = true;
   Opts.AnalyzeCost = false;
   Opts.OutputFormat = Format;
+  Opts.Basis = Basis;
   driver::CompilationResult R =
       benchmarks::runPipelineOrDie(B, goldenSize(B), Opts);
   driver::CompilationPipeline Pipeline(std::move(Opts));
@@ -66,6 +69,25 @@ std::string readFile(const std::string &Path) {
   std::stringstream Buffer;
   Buffer << In.rdbuf();
   return Buffer.str();
+}
+
+/// Names the first line where two texts differ, for a mismatch message
+/// that stays linear in the text size (gtest's line diff of two
+/// megabyte strings is quadratic).
+std::string firstDifference(const std::string &Got,
+                            const std::string &Want) {
+  auto Mismatch = std::mismatch(Got.begin(), Got.end(), Want.begin(),
+                                Want.end());
+  size_t At = static_cast<size_t>(Mismatch.first - Got.begin());
+  size_t Start = At == 0 ? 0 : Got.rfind('\n', At - 1) + 1;
+  auto lineAt = [Start](const std::string &Text) {
+    if (Start >= Text.size())
+      return std::string("<end of text>");
+    return Text.substr(Start, Text.find('\n', Start) - Start);
+  };
+  auto Line = std::count(Got.begin(), Got.begin() + Start, '\n') + 1;
+  return "first difference at line " + std::to_string(Line) + ": got '" +
+         lineAt(Got) + "', want '" + lineAt(Want) + "'";
 }
 
 } // namespace
@@ -86,8 +108,9 @@ TEST(GoldenQc, BenchmarksEmitSeedIdenticalQc) {
     ASSERT_FALSE(Expected.empty())
         << "missing golden " << Path
         << " (run with SPIRE_REGEN_GOLDENS=1 to capture)";
-    EXPECT_EQ(Text, Expected)
-        << B.Name << ": .qc output diverged from the seed pipeline";
+    EXPECT_TRUE(Text == Expected)
+        << B.Name << ": .qc output diverged from the seed pipeline, "
+        << firstDifference(Text, Expected);
   }
 }
 
@@ -125,5 +148,60 @@ TEST(GoldenQc, BenchmarksEmitSeedIdenticalQasm3) {
     EXPECT_EQ(Text.size(), D.Bytes);
     EXPECT_EQ(support::hashBytes(Text), D.Hash)
         << ".qasm3 output diverged from the recorded digest";
+  }
+}
+
+// The legacy gate-level leg: byte length and support::hashBytes of each
+// benchmark's `.qc` text lowered to the Toffoli and Clifford+T levels
+// (`spirec --emit toffoli|cliffordt`), recorded when those levels still
+// decomposed inside the circuit-compile stage. They now run through the
+// legalize stage onto the equivalent basis, which must write the same
+// bytes, with or without SPIRE_VERIFY_EACH.
+TEST(GoldenQc, BenchmarksEmitSeedIdenticalLegacyLevels) {
+  struct Digest {
+    const char *Name;
+    interchange::Basis Level;
+    size_t Bytes;
+    uint64_t Hash;
+  };
+  constexpr interchange::Basis Toffoli = interchange::Basis::Toffoli;
+  constexpr interchange::Basis CliffordT = interchange::Basis::CX;
+  static const Digest Expected[] = {
+      {"length", Toffoli, 490400, 0x8d6b2a99a03c2dbbull},
+      {"length", CliffordT, 3492650, 0x2e61478c530273d6ull},
+      {"sum", Toffoli, 492428, 0xdecbb4ef97515a8eull},
+      {"sum", CliffordT, 3494678, 0xfe01c265b74e7decull},
+      {"find_pos", Toffoli, 496783, 0xbf1199a58edcb9f4ull},
+      {"find_pos", CliffordT, 3511247, 0x465fa1021f6c7f8bull},
+      {"remove", Toffoli, 564850, 0xeb27b526bdc3491full},
+      {"remove", CliffordT, 4366503, 0xe7509b7344516ecbull},
+      {"push_back", Toffoli, 845949, 0x482d3b5231abe1ffull},
+      {"push_back", CliffordT, 6535887, 0x071ce09bb1fe1ef3ull},
+      {"pop_front", Toffoli, 75003, 0xfdc28b56ee0bd3a1ull},
+      {"pop_front", CliffordT, 543875, 0x0f89c3df78e51ddcull},
+      {"is_prefix", Toffoli, 969028, 0xcdd412bf460083edull},
+      {"is_prefix", CliffordT, 6923042, 0xf07a22d722df6626ull},
+      {"num_matching", Toffoli, 982353, 0xf2b7ae691ab8a59aull},
+      {"num_matching", CliffordT, 7025971, 0x67467173f3ab1a6dull},
+      {"compare", Toffoli, 969556, 0xf66bb4cdfb5af78bull},
+      {"compare", CliffordT, 6925142, 0xdee11d491a165896ull},
+      {"insert", Toffoli, 2805199, 0x381dcc1900d87475ull},
+      {"insert", CliffordT, 20528386, 0xf3b27b8d40862765ull},
+      {"contains", Toffoli, 4408690, 0x0b02252927041f10ull},
+      {"contains", CliffordT, 31406970, 0x5f130a6bda64a4ccull},
+  };
+  const auto &All = benchmarks::allBenchmarks();
+  ASSERT_EQ(2 * All.size(), std::size(Expected));
+  for (const Digest &D : Expected) {
+    SCOPED_TRACE(std::string(D.Name) + " at basis " +
+                 interchange::basisName(D.Level));
+    auto It = std::find_if(All.begin(), All.end(),
+                           [&](const auto &B) { return B.Name == D.Name; });
+    ASSERT_NE(It, All.end());
+    std::string Text = compileTo(*It, interchange::Format::Qc, D.Level);
+    EXPECT_EQ(Text.size(), D.Bytes);
+    EXPECT_EQ(support::hashBytes(Text), D.Hash)
+        << ".qc output at a legacy gate level diverged from the recorded "
+           "digest";
   }
 }

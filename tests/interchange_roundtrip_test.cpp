@@ -49,7 +49,7 @@ TEST(InterchangeRoundTrip, EveryBenchmarkSurvivesQasmRoundTrip) {
     // acceptance criterion.
     EquivalenceReport R = checkEquivalence(C, *Back, 32);
     EXPECT_TRUE(R.Equivalent) << R.Detail;
-    EXPECT_GE(R.SamplesRun, 32u);
+    EXPECT_GE(R.StatesRun, 32u);
   }
 }
 

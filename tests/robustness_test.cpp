@@ -38,6 +38,7 @@
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <thread>
+#include <unistd.h>
 #include <vector>
 
 using namespace spire;
@@ -377,6 +378,24 @@ TEST(AtomicWrite, ProbeDoesNotTruncate) {
   EXPECT_EQ(readWholeFile(Path), "keep me");
   std::remove(Path.c_str());
   EXPECT_FALSE(support::probeWritable("/nonexistent-dir/x.json", Error));
+}
+
+TEST(AtomicWrite, ProbeDoesNotOpenAFifo) {
+  // Opening a FIFO for writing blocks until a reader arrives (and would
+  // hand a waiting reader an early end of file), so the probe checks a
+  // non-regular destination by permission only. The alarm turns a
+  // blocking probe into a failure instead of a hang.
+  std::string Path = ::testing::TempDir() + "probe_fifo";
+  std::remove(Path.c_str());
+  ASSERT_EQ(::mkfifo(Path.c_str(), 0600), 0);
+  std::string Error;
+  ::alarm(10);
+  EXPECT_TRUE(support::probeWritable(Path, Error)) << Error;
+  ::alarm(0);
+  struct stat St;
+  ASSERT_EQ(::stat(Path.c_str(), &St), 0);
+  EXPECT_TRUE(S_ISFIFO(St.st_mode));
+  std::remove(Path.c_str());
 }
 
 //===----------------------------------------------------------------------===//

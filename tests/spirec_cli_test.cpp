@@ -120,6 +120,16 @@ TEST(SpirecCli, BadBasisNameExitsTwo) {
       << R.Stderr;
 }
 
+TEST(SpirecCli, LegacyLevelAndBasisAreExclusiveOnTowerInput) {
+  // A legacy --emit level is a basis, on the Tower axis as on the
+  // circuit-input axis, so it cannot be combined with --basis.
+  RunResult R = runSpirec(writeGoodProgram() +
+                          " --entry f --emit toffoli --basis cx");
+  EXPECT_EQ(R.ExitCode, 2);
+  EXPECT_NE(R.Stderr.find("mutually exclusive"), std::string::npos)
+      << R.Stderr;
+}
+
 TEST(SpirecCli, QcInAndQasmInAreExclusive) {
   RunResult R = runSpirec("--qc-in a.qc --qasm-in b.qasm");
   EXPECT_EQ(R.ExitCode, 2);
@@ -166,6 +176,14 @@ TEST(SpirecCli, UnwritableOutputPathExitsTwo) {
                           " --entry f --emit mcx -o /nonexistent-dir/o.qc");
   EXPECT_EQ(R.ExitCode, 2);
   EXPECT_NE(R.Stderr.find("cannot open"), std::string::npos) << R.Stderr;
+
+  // The -o path is probed before the compile starts: no stage runs, so
+  // --timings prints no stage row.
+  R = runSpirec(writeGoodProgram() +
+                " --entry f --emit mcx --timings -o /nonexistent-dir/o.qc");
+  EXPECT_EQ(R.ExitCode, 2);
+  EXPECT_NE(R.Stderr.find("cannot open"), std::string::npos) << R.Stderr;
+  EXPECT_EQ(R.Stderr.find("spirec: parse"), std::string::npos) << R.Stderr;
 }
 
 TEST(SpirecCli, ParseErrorExitsOneWithStageDiagnostic) {

@@ -60,6 +60,8 @@ struct Options {
   /// (whose state-vector path cannot enumerate exhaustively); the
   /// default silently adapts to small circuits instead.
   bool CheckEquivSamplesSet = false;
+  /// --check-equiv-samples: basis-state budget of the sampled modes.
+  unsigned CheckEquivSamples = 32;
   std::optional<std::string> RunInputs;
   std::string CircuitOpt;
   std::string TraceJsonPath;   ///< --trace-json output path.
@@ -84,7 +86,7 @@ const char UsageText[] =
     "                            after optimization\n"
     "  --emit qc|qasm3           write the compiled circuit in the given\n"
     "                            format (legacy levels mcx|toffoli|cliffordt\n"
-    "                            mean .qc at that gate level)\n"
+    "                            mean .qc with --basis mcx|toffoli|cx)\n"
     "  --basis mcx|toffoli|cx    legalize the circuit onto a gate basis\n"
     "                            before emission\n"
     "  -o <path>                 output path for --emit (default: stdout)\n"
@@ -217,39 +219,30 @@ circuitOptKind(const std::string &Name) {
 }
 
 /// Applies one --emit spelling: a format (qc | qasm3) or a legacy gate
-/// level (mcx | toffoli | cliffordt), which means .qc at that level. On
-/// the circuit-input axis a legacy level maps to the equivalent --basis
-/// (the level decompositions are exactly the legalizer's bases).
-void applyEmitSpec(const std::string &Spec, bool CircuitIn, bool HasBasis,
+/// level (mcx | toffoli | cliffordt), which means .qc legalized onto the
+/// equivalent --basis (the level decompositions are exactly the
+/// legalizer's bases).
+void applyEmitSpec(const std::string &Spec, bool HasBasis,
                    driver::PipelineOptions &Pipe) {
   if (std::optional<interchange::Format> F =
           interchange::formatFromName(Spec)) {
     Pipe.OutputFormat = *F;
     return;
   }
-  driver::CircuitLevel Level;
   interchange::Basis Basis;
-  if (Spec == "mcx") {
-    Level = driver::CircuitLevel::MCX;
+  if (Spec == "mcx")
     Basis = interchange::Basis::MCX;
-  } else if (Spec == "toffoli") {
-    Level = driver::CircuitLevel::Toffoli;
+  else if (Spec == "toffoli")
     Basis = interchange::Basis::Toffoli;
-  } else if (Spec == "cliffordt") {
-    Level = driver::CircuitLevel::CliffordT;
+  else if (Spec == "cliffordt")
     Basis = interchange::Basis::CX;
-  } else {
+  else
     usageError("--emit must be qc, qasm3, or a legacy gate level "
                "(mcx, toffoli, cliffordt)");
-  }
-  if (CircuitIn) {
-    if (HasBasis)
-      usageError("--basis and a legacy --emit level are mutually "
-                 "exclusive; use --emit qc|qasm3 with --basis");
-    Pipe.Basis = Basis;
-  } else {
-    Pipe.EmitLevel = Level;
-  }
+  if (HasBasis)
+    usageError("--basis and a legacy --emit level are mutually "
+               "exclusive; use --emit qc|qasm3 with --basis");
+  Pipe.Basis = Basis;
 }
 
 Options parseArgs(int Argc, char **Argv) {
@@ -292,7 +285,7 @@ Options parseArgs(int Argc, char **Argv) {
       if (N <= 0 || N > std::numeric_limits<unsigned>::max())
         usageError("--check-equiv-samples must be a positive 32-bit "
                    "count");
-      Opts.Pipeline.CheckEquivSamples = static_cast<unsigned>(N);
+      Opts.CheckEquivSamples = static_cast<unsigned>(N);
       Opts.CheckEquivSamplesSet = true;
     }
     else if (Arg == "--run")
@@ -425,8 +418,7 @@ Options parseArgs(int Argc, char **Argv) {
   }
 
   if (!EmitSpec.empty())
-    applyEmitSpec(EmitSpec, Opts.Pipeline.Input == driver::InputKind::Circuit,
-                  !BasisName.empty(), Opts.Pipeline);
+    applyEmitSpec(EmitSpec, !BasisName.empty(), Opts.Pipeline);
   if (!BasisName.empty()) {
     std::optional<interchange::Basis> B =
         interchange::basisFromName(BasisName);
@@ -602,8 +594,8 @@ int checkEquivalence(const circuit::Circuit &Final, const std::string &Path,
                  "spirec: equivalent on %llu batched basis states\n",
                  static_cast<unsigned long long>(Report.StatesRun));
   else
-    std::fprintf(stderr, "spirec: equivalent on %u sampled basis states\n",
-                 Report.SamplesRun);
+    std::fprintf(stderr, "spirec: equivalent on %llu sampled basis states\n",
+                 static_cast<unsigned long long>(Report.StatesRun));
   return 0;
 }
 
@@ -814,7 +806,7 @@ int runCompilerModes(Options &Opts, driver::CompilationResult &R,
     if (!Final)
       usageError("--check-equiv needs a circuit (add --emit or --basis)");
     return checkEquivalence(*Final, Opts.CheckEquivPath,
-                            Pipe.CheckEquivSamples,
+                            Opts.CheckEquivSamples,
                             Opts.CheckEquivSamplesSet, Opts.Timings,
                             Pipe.VerifyEach);
   }
@@ -1115,11 +1107,16 @@ int runServe(const Options &Opts, support::ArtifactCache *Cache,
 int main(int Argc, char **Argv) {
   Options Opts = parseArgs(Argc, Argv);
 
-  // A bad --trace-json or --metrics-json path is still a command-line
-  // error (exit 2) before any compile work starts, like a bad -o path;
-  // the probe replaces the old eager open so the artifacts themselves
-  // can be staged atomically after the run.
+  // A bad -o, --trace-json or --metrics-json path is a command-line
+  // error (exit 2) before any compile work starts; the probe replaces an
+  // eager open so the files themselves can be staged atomically after
+  // the run.
   std::string ProbeError;
+  if (Opts.WantEmit && !Opts.OutputPath.empty() &&
+      !support::probeWritable(Opts.OutputPath, ProbeError)) {
+    std::fprintf(stderr, "spirec: error: %s\n", ProbeError.c_str());
+    return 2;
+  }
   if (!Opts.TraceJsonPath.empty()) {
     if (!support::probeWritable(Opts.TraceJsonPath, ProbeError)) {
       std::fprintf(stderr, "spirec: error: %s\n", ProbeError.c_str());
