@@ -4,6 +4,10 @@
 /// Circuit optimization at scale: sweeps generated Clifford+T circuits
 /// from 10k to 1M gates through the netlist optimizer hot path
 /// (cancelAdjacentGates + phaseFold) and reports throughput per pass.
+/// A compiled-circuit point folds the paper's `length` benchmark at n=10
+/// after Clifford+T decomposition (the Section 8.3 `rotation` input):
+/// ~1.2M gates over ~400K distinct wire parities, where the random
+/// 64-qubit workload has few.
 ///
 /// The pre-PR-4 cancellation was O(rounds x gates x lookahead) with a
 /// full circuit copy per round, and phase folding keyed a std::map on
@@ -12,7 +16,10 @@
 /// (non-zero exit) if throughput at the deep end collapses superlinearly
 /// against the best observed rate, if the optimized circuit is worse
 /// than the reference passes produce, or if the stats stop accounting
-/// for the removed gates.
+/// for the removed gates. The compiled point adds two checks that do not
+/// depend on the machine's speed: the fold must allocate at most
+/// 8 x qubits + 64 times, and its output must equal the reference
+/// fold's gate for gate.
 ///
 /// Results are also written as JSON (default `BENCH_qopt.json`, or
 /// argv[1]) — the first point of the repo's perf trajectory; pretty-print
@@ -20,9 +27,14 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "QoptReference.h"
+#include "benchmarks/Benchmarks.h"
+#include "benchmarks/Harness.h"
+#include "decompose/Decompose.h"
 #include "obs/Json.h"
 #include "obs/Metrics.h"
 #include "qopt/Passes.h"
+#include "support/AllocStats.h"
 #include "support/Hash.h"
 
 #include <chrono>
@@ -281,11 +293,81 @@ bool referenceRandomPoint(size_t NumGates, const Row &NewRow,
   return true;
 }
 
+/// The compiled-circuit fold point.
+struct CompiledRow {
+  int64_t Size = 10;
+  int64_t Qubits = 0;
+  int64_t Gates = 0;
+  int64_t GatesOut = 0;
+  double FoldSeconds = 0;
+  double ReferenceSeconds = 0; ///< phaseFoldReference on the same input.
+  int64_t Allocations = 0;
+  int64_t AllocationBudget = 0;
+  int64_t MergedRotations = 0;
+  int64_t EmittedRotations = 0;
+  bool MatchesReference = false;
+
+  double foldRate() const {
+    return Gates / (FoldSeconds > 0 ? FoldSeconds : 1e-9);
+  }
+};
+
+/// Folds `length` at n=10 after Clifford+T decomposition, counting the
+/// fold's heap allocations, and checks it against the reference fold.
+bool compiledPoint(CompiledRow &Out) {
+  driver::PipelineOptions Opts;
+  Opts.BuildCircuit = true;
+  Opts.AnalyzeCost = false;
+  driver::CompilationResult R = benchmarks::runPipelineOrDie(
+      benchmarks::lengthBenchmark(), Out.Size, Opts);
+  Circuit CT = decompose::toCliffordT(R.Compiled->Circ);
+  Out.Qubits = CT.NumQubits;
+  Out.Gates = static_cast<int64_t>(CT.Gates.size());
+  Out.AllocationBudget = 8 * Out.Qubits + 64;
+
+  qopt::OptStats Stats;
+  int64_t AllocsBefore = support::allocationCount();
+  auto Start = std::chrono::steady_clock::now();
+  Circuit Folded = qopt::phaseFold(CT, &Stats);
+  Out.FoldSeconds = secondsSince(Start);
+  Out.Allocations = support::allocationCount() - AllocsBefore;
+  Out.GatesOut = static_cast<int64_t>(Folded.Gates.size());
+  Out.MergedRotations = Stats.MergedRotations;
+  Out.EmittedRotations = Stats.EmittedRotations;
+  Start = std::chrono::steady_clock::now();
+  Circuit Reference = qopt::phaseFoldReference(CT);
+  Out.ReferenceSeconds = secondsSince(Start);
+  Out.MatchesReference = Folded.Gates == Reference.Gates;
+
+  std::printf("%9lld %7lld %9lld %8.3f %12.0f %7.3f %8lld %8lld %9lld %s\n",
+              static_cast<long long>(Out.Gates),
+              static_cast<long long>(Out.Qubits),
+              static_cast<long long>(Out.GatesOut), Out.FoldSeconds,
+              Out.foldRate(), Out.ReferenceSeconds,
+              static_cast<long long>(Out.Allocations),
+              static_cast<long long>(Out.AllocationBudget),
+              static_cast<long long>(Out.MergedRotations),
+              Out.MatchesReference ? "yes" : "NO");
+  if (Out.Allocations > Out.AllocationBudget) {
+    std::fprintf(stderr, "compiled fold made %lld allocations, over the "
+                         "8 x qubits + 64 budget of %lld\n",
+                 static_cast<long long>(Out.Allocations),
+                 static_cast<long long>(Out.AllocationBudget));
+    return false;
+  }
+  if (!Out.MatchesReference) {
+    std::fprintf(stderr, "compiled fold differs from the reference fold\n");
+    return false;
+  }
+  return true;
+}
+
 void writeJson(const std::string &Path, const std::vector<Row> &Random,
                const std::vector<Row> &Ladder, const std::vector<Row> &Nest,
                const std::vector<std::pair<size_t, double>> &RefLadder,
                double RefRandomSeconds, double LadderSpeedup,
-               bool CancelOK, bool FoldOK, bool LadderOK, bool NestOK) {
+               const CompiledRow &Compiled, bool CancelOK, bool FoldOK,
+               bool LadderOK, bool NestOK) {
   // Unified emission path (obs::JsonWriter + metrics snapshot); point
   // keys unchanged so committed trajectory files diff cleanly.
   obs::JsonWriter W;
@@ -334,6 +416,25 @@ void writeJson(const std::string &Path, const std::vector<Row> &Random,
   }
   W.endArray();
   W.kv("reference_random_seconds", RefRandomSeconds, 6);
+  // A one-point series, so tools/bench_report.py prints and diffs it.
+  W.key("compiled_points");
+  W.beginArray();
+  W.beginObject();
+  W.kv("benchmark", "length");
+  W.kv("size", Compiled.Size);
+  W.kv("qubits", Compiled.Qubits);
+  W.kv("gates", Compiled.Gates);
+  W.kv("gates_out", Compiled.GatesOut);
+  W.kv("fold_seconds", Compiled.FoldSeconds, 6);
+  W.kv("fold_gates_per_sec", static_cast<int64_t>(Compiled.foldRate()));
+  W.kv("reference_fold_seconds", Compiled.ReferenceSeconds, 6);
+  W.kv("fold_allocations", Compiled.Allocations);
+  W.kv("fold_allocation_budget", Compiled.AllocationBudget);
+  W.kv("merged_rotations", Compiled.MergedRotations);
+  W.kv("emitted_rotations", Compiled.EmittedRotations);
+  W.kv("matches_reference", Compiled.MatchesReference);
+  W.endObject();
+  W.endArray();
   std::string SpeedupKey =
       "ladder_speedup_at_" + std::to_string(RefLadder.back().first);
   W.kv(SpeedupKey, LadderSpeedup, 4);
@@ -380,6 +481,14 @@ int main(int Argc, char **Argv) {
   double RefRandomSeconds = 0, RandomSpeedup = 0;
   if (!referenceRandomPoint(Sizes.front(), Random.front(), RefRandomSeconds,
                             RandomSpeedup))
+    return 1;
+
+  std::printf("\n-- compiled circuit: length n=10, clifford+t --\n");
+  std::printf("%9s %7s %9s %8s %12s %7s %8s %8s %9s %s\n", "gates",
+              "qubits", "out", "fold s", "gates/sec", "ref s", "allocs",
+              "budget", "merged", "=ref");
+  CompiledRow Compiled;
+  if (!compiledPoint(Compiled))
     return 1;
 
   // The nested compute–uncompute onion: the netlist worklist cascades it
@@ -441,7 +550,7 @@ int main(int Argc, char **Argv) {
   bool NestOK = linear("cancel (disjoint nest)", Nest, &Row::cancelRate);
 
   writeJson(Argc > 1 ? Argv[1] : "BENCH_qopt.json", Random, Ladder, Nest,
-            RefLadder, RefRandomSeconds, LadderSpeedup, CancelOK, FoldOK,
-            LadderOK, NestOK);
+            RefLadder, RefRandomSeconds, LadderSpeedup, Compiled, CancelOK,
+            FoldOK, LadderOK, NestOK);
   return CancelOK && FoldOK && LadderOK && NestOK ? 0 : 1;
 }

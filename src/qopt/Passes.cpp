@@ -7,9 +7,8 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <map>
+#include <iterator>
 #include <random>
-#include <unordered_map>
 #include <vector>
 
 using namespace spire::circuit;
@@ -244,51 +243,6 @@ Circuit cancelAdjacentGates(const Circuit &C, const CancelOptions &Options,
   return N.toCircuit();
 }
 
-Circuit cancelAdjacentGatesReference(const Circuit &C,
-                                     const CancelOptions &Options) {
-  std::vector<Gate> Gates = C.Gates;
-  std::vector<bool> Removed(Gates.size(), false);
-
-  for (unsigned Round = 0; Round != Options.MaxRounds; ++Round) {
-    bool Changed = false;
-    for (size_t I = 0; I != Gates.size(); ++I) {
-      if (Removed[I])
-        continue;
-      unsigned Scanned = 0;
-      for (size_t J = I + 1; J != Gates.size(); ++J) {
-        if (Removed[J])
-          continue;
-        if (isInversePair(Gates[I], Gates[J])) {
-          Removed[I] = Removed[J] = true;
-          Changed = true;
-          break;
-        }
-        if (!gatesCommute(Gates[I], Gates[J]))
-          break;
-        if (++Scanned >= Options.MaxLookahead)
-          break;
-      }
-    }
-    if (!Changed)
-      break;
-    // Compact so later rounds see newly adjacent pairs.
-    std::vector<Gate> Compacted;
-    Compacted.reserve(Gates.size());
-    for (size_t I = 0; I != Gates.size(); ++I)
-      if (!Removed[I])
-        Compacted.push_back(std::move(Gates[I]));
-    Gates = std::move(Compacted);
-    Removed.assign(Gates.size(), false);
-  }
-
-  Circuit Out;
-  Out.NumQubits = C.NumQubits;
-  for (size_t I = 0; I != Gates.size(); ++I)
-    if (!Removed[I])
-      Out.Gates.push_back(std::move(Gates[I]));
-  return Out;
-}
-
 //===----------------------------------------------------------------------===//
 // Phase folding (rotation merging)
 //===----------------------------------------------------------------------===//
@@ -300,8 +254,8 @@ using support::mix64; // The per-variable mixer behind the parity hash.
 /// A wire parity: a sorted set of region variables, XOR-composed, plus a
 /// complement bit. `Hash` is the XOR of mix64 over the variables —
 /// order-independent, so every update is O(1) on top of the set edit,
-/// and it keys the hashed phase table below (the complement bit is
-/// deliberately outside the key, exactly like the reference pass).
+/// and it keys the phase table below (the complement bit is deliberately
+/// outside the key).
 struct Parity {
   std::vector<uint32_t> Vars; // Sorted, unique.
   uint64_t Hash = 0;
@@ -312,20 +266,15 @@ struct Parity {
     Hash = mix64(V);
     Complemented = false;
   }
-  void xorVar(uint32_t V) {
-    auto It = std::lower_bound(Vars.begin(), Vars.end(), V);
-    if (It != Vars.end() && *It == V)
-      Vars.erase(It);
-    else
-      Vars.insert(It, V);
-    Hash ^= mix64(V);
-  }
-  void xorWith(const Parity &O) {
-    std::vector<uint32_t> Merged;
-    Merged.reserve(Vars.size() + O.Vars.size());
+  /// XORs `O` into this parity. The symmetric difference is built in
+  /// `Scratch` and swapped in, so the old buffer becomes the next
+  /// scratch: buffers only ever trade places and grow geometrically,
+  /// and a CNOT allocates nothing once they reach the working size.
+  void xorWith(const Parity &O, std::vector<uint32_t> &Scratch) {
+    Scratch.clear();
     std::set_symmetric_difference(Vars.begin(), Vars.end(), O.Vars.begin(),
-                                  O.Vars.end(), std::back_inserter(Merged));
-    Vars = std::move(Merged);
+                                  O.Vars.end(), std::back_inserter(Scratch));
+    Vars.swap(Scratch);
     Hash ^= O.Hash;
     Complemented ^= O.Complemented;
   }
@@ -349,37 +298,117 @@ int phaseUnits(GateKind K) {
   }
 }
 
-/// Emits phase gates realizing `Units` (mod 8) of pi/4 onto a wire.
+/// `Units` reduced into [0, 8).
+int normalizeUnits(int Units) { return ((Units % 8) + 8) % 8; }
+
+/// Emits phase gates realizing `Units` (mod 8) of pi/4 onto a wire: one
+/// gate per set bit of the normalized count (Z = 4, S = 2, T = 1).
 void emitPhase(int Units, Qubit Target, std::vector<Gate> &Out) {
-  Units = ((Units % 8) + 8) % 8;
-  if (Units >= 4) {
+  Units = normalizeUnits(Units);
+  if (Units & 4)
     Out.push_back(Gate(GateKind::Z, Target));
-    Units -= 4;
-  }
-  if (Units >= 2) {
+  if (Units & 2)
     Out.push_back(Gate(GateKind::S, Target));
-    Units -= 2;
-  }
-  if (Units == 1)
+  if (Units & 1)
     Out.push_back(Gate(GateKind::T, Target));
 }
 
+/// The number of gates emitPhase writes for `Units`.
+int64_t phaseGateCount(int Units) {
+  Units = normalizeUnits(Units);
+  return (Units >> 2 & 1) + (Units >> 1 & 1) + (Units & 1);
+}
+
 /// One merged rotation accumulator, anchored at its first contribution.
+/// Its parity lives in the fold's shared arena as [Offset, Offset+Length).
 struct PhaseAccum {
-  std::vector<uint32_t> Vars; ///< The parity this accumulates over.
+  uint64_t Hash = 0; ///< The parity's incremental hash (its table key).
+  size_t Offset = 0;
+  uint32_t Length = 0;
   int Units = 0;
   size_t FirstGate = 0; ///< Index in C.Gates of the first contribution.
   Qubit Target = 0;
   bool FirstComplemented = false; ///< Wire complement at the first site.
+
+  /// The units to emit at the first site. That wire holds p ^ c, where c
+  /// is the complement there; k units of phase on p need -k on a
+  /// complemented wire (up to global phase).
+  int emittedUnits() const { return FirstComplemented ? -Units : Units; }
+};
+
+/// The phase table: accumulators with their parities in one flat arena,
+/// indexed by an open-addressed (linear-probing) table of accumulator ids
+/// keyed by the parity hash. A hash match is confirmed by comparing the
+/// exact variable spans, so hashing never changes which rotations merge.
+/// Storage grows by doubling, so the allocation count is logarithmic in
+/// the number of distinct parities.
+class PhaseTable {
+public:
+  static constexpr uint32_t Empty = ~0u;
+
+  PhaseTable() : Slots(64, Empty) {}
+
+  /// The accumulator of parity `P`, created (anchored at gate `I` on
+  /// `Target`) when `P` has not been seen.
+  uint32_t findOrInsert(const Parity &P, size_t I, Qubit Target) {
+    size_t Mask = Slots.size() - 1;
+    size_t Slot = P.Hash & Mask;
+    for (; Slots[Slot] != Empty; Slot = (Slot + 1) & Mask) {
+      const PhaseAccum &A = Accums[Slots[Slot]];
+      if (A.Hash == P.Hash && A.Length == P.Vars.size() &&
+          std::equal(P.Vars.begin(), P.Vars.end(), Arena.begin() + A.Offset))
+        return Slots[Slot];
+    }
+    uint32_t Id = static_cast<uint32_t>(Accums.size());
+    PhaseAccum &A = Accums.emplace_back();
+    A.Hash = P.Hash;
+    A.Offset = Arena.size();
+    A.Length = static_cast<uint32_t>(P.Vars.size());
+    A.FirstGate = I;
+    A.Target = Target;
+    A.FirstComplemented = P.Complemented;
+    Arena.insert(Arena.end(), P.Vars.begin(), P.Vars.end());
+    Slots[Slot] = Id;
+    // Keep the load factor at or below one half.
+    if (2 * Accums.size() > Slots.size())
+      grow();
+    return Id;
+  }
+
+  PhaseAccum &operator[](uint32_t Id) { return Accums[Id]; }
+  const std::vector<PhaseAccum> &accums() const { return Accums; }
+
+private:
+  void grow() {
+    Slots.assign(2 * Slots.size(), Empty);
+    size_t Mask = Slots.size() - 1;
+    for (uint32_t Id = 0; Id != Accums.size(); ++Id) {
+      size_t Slot = Accums[Id].Hash & Mask;
+      while (Slots[Slot] != Empty)
+        Slot = (Slot + 1) & Mask;
+      Slots[Slot] = Id;
+    }
+  }
+
+  std::vector<uint32_t> Slots; ///< Accumulator ids; size a power of two.
+  std::vector<PhaseAccum> Accums;
+  std::vector<uint32_t> Arena; ///< Every accumulator's parity, back to back.
 };
 
 } // namespace
 
 Circuit phaseFold(const Circuit &C, OptStats *Stats) {
+  // Every parity buffer (one per wire, plus xorWith's spare) starts with
+  // room for a typical parity, so few of them ever reallocate.
+  constexpr size_t InitialSupport = 16;
   std::vector<Parity> Wire(C.NumQubits);
   uint32_t NextVar = 0;
-  for (unsigned Q = 0; Q != C.NumQubits; ++Q)
+  for (unsigned Q = 0; Q != C.NumQubits; ++Q) {
+    Wire[Q].Vars.reserve(InitialSupport);
     Wire[Q].reset(NextVar++);
+  }
+  std::vector<uint32_t> Scratch;
+  Scratch.reserve(InitialSupport);
 
   // Support cap: a parity whose variable set outgrows the register (rare
   // in compiled circuits, constructible with long H-interleaved CNOT
@@ -387,16 +416,14 @@ Circuit phaseFold(const Circuit &C, OptStats *Stats) {
   // same conservative give-up as an H barrier, so the pass stays sound
   // while every per-gate step stays O(cap). Small circuits (fewer gates
   // than the cap) can never hit it, which keeps the pass gate-for-gate
-  // identical to phaseFoldReference on the differential-test sizes.
+  // identical to the uncapped test oracle on the differential-test sizes.
   const size_t MaxSupport = std::max<size_t>(64, 2 * C.NumQubits);
 
-  // The phase table, keyed by the parity's incremental hash; the rare
-  // collision chains through the bucket vector and is resolved by exact
-  // Vars comparison, so hashing never changes which rotations merge.
-  std::unordered_map<uint64_t, std::vector<PhaseAccum>> Phases;
-  Phases.reserve(C.Gates.size() / 4 + 16);
-  // Non-phase gates survive; phase gates are replaced by merged emissions.
-  std::vector<bool> IsPhaseGate(C.Gates.size(), false);
+  PhaseTable Phases;
+  // The accumulator each phase gate contributes to; NoAccum marks the
+  // non-phase gates, which survive as-is.
+  constexpr uint32_t NoAccum = PhaseTable::Empty;
+  std::vector<uint32_t> AccumOf(C.Gates.size(), NoAccum);
   int64_t PhaseGatesIn = 0;
 
   for (size_t I = 0; I != C.Gates.size(); ++I) {
@@ -407,30 +434,17 @@ Circuit phaseFold(const Circuit &C, OptStats *Stats) {
       return C;
     const Gate &G = C.Gates[I];
     if (G.isPhase() && G.Controls.empty()) {
-      IsPhaseGate[I] = true;
       ++PhaseGatesIn;
-      Parity &P = Wire[G.Target];
+      const Parity &P = Wire[G.Target];
       int Units = phaseUnits(G.Kind);
       // A phase on a complemented parity 1^p contributes a global phase
       // plus the negated rotation on p.
       if (P.Complemented)
         Units = -Units;
-      std::vector<PhaseAccum> &Bucket = Phases[P.Hash];
-      PhaseAccum *A = nullptr;
-      for (PhaseAccum &Candidate : Bucket)
-        if (Candidate.Vars == P.Vars) {
-          A = &Candidate;
-          break;
-        }
-      if (!A) {
-        Bucket.emplace_back();
-        A = &Bucket.back();
-        A->Vars = P.Vars;
-        A->FirstGate = I;
-        A->Target = G.Target;
-        A->FirstComplemented = P.Complemented;
-      }
-      A->Units = (A->Units + Units) % 8;
+      uint32_t Id = Phases.findOrInsert(P, I, G.Target);
+      AccumOf[I] = Id;
+      PhaseAccum &A = Phases[Id];
+      A.Units = (A.Units + Units) % 8;
       continue;
     }
     switch (G.Kind) {
@@ -438,7 +452,7 @@ Circuit phaseFold(const Circuit &C, OptStats *Stats) {
       if (G.Controls.empty()) {
         Wire[G.Target].Complemented ^= true;
       } else if (G.Controls.size() == 1) {
-        Wire[G.Target].xorWith(Wire[G.Controls[0]]);
+        Wire[G.Target].xorWith(Wire[G.Controls[0]], Scratch);
         if (Wire[G.Target].Vars.size() > MaxSupport)
           Wire[G.Target].reset(NextVar++);
       } else {
@@ -456,34 +470,29 @@ Circuit phaseFold(const Circuit &C, OptStats *Stats) {
     }
   }
 
-  // Re-emit: non-phase gates as-is; merged phases at their first site.
-  std::unordered_map<size_t, const PhaseAccum *> EmitAt;
-  EmitAt.reserve(Phases.size());
-  for (const auto &[Hash, Bucket] : Phases)
-    for (const PhaseAccum &A : Bucket)
-      if (A.Units % 8 != 0)
-        EmitAt[A.FirstGate] = &A;
-
+  // Re-emit: non-phase gates as-is; every non-zero accumulator at its
+  // first site, in exactly as many gates as emitPhase writes for it.
+  int64_t EmittedSites = 0, PhaseGatesOut = 0;
+  for (const PhaseAccum &A : Phases.accums())
+    if (A.Units % 8 != 0) {
+      ++EmittedSites;
+      PhaseGatesOut += phaseGateCount(A.emittedUnits());
+    }
+  const size_t OutSize = C.Gates.size() - static_cast<size_t>(PhaseGatesIn) +
+                        static_cast<size_t>(PhaseGatesOut);
   Circuit Out;
   Out.NumQubits = C.NumQubits;
-  Out.Gates.reserve(C.Gates.size());
-  int64_t EmittedSites = 0, PhaseGatesOut = 0;
+  Out.Gates.reserve(OutSize);
   for (size_t I = 0; I != C.Gates.size(); ++I) {
-    auto It = EmitAt.find(I);
-    if (It != EmitAt.end()) {
-      // The emission site's wire holds p ^ c where c is the complement at
-      // that point; realizing k units of phase on p requires -k when the
-      // wire was complemented (up to global phase).
-      const PhaseAccum &A = *It->second;
-      ++EmittedSites;
-      size_t Before = Out.Gates.size();
-      emitPhase(A.FirstComplemented ? -A.Units : A.Units, A.Target,
-                Out.Gates);
-      PhaseGatesOut += static_cast<int64_t>(Out.Gates.size() - Before);
-    }
-    if (!IsPhaseGate[I])
+    if (AccumOf[I] == NoAccum) {
       Out.Gates.push_back(C.Gates[I]);
+      continue;
+    }
+    const PhaseAccum &A = Phases[AccumOf[I]];
+    if (A.FirstGate == I && A.Units % 8 != 0)
+      emitPhase(A.emittedUnits(), A.Target, Out.Gates);
   }
+  assert(Out.Gates.size() == OutSize && "output size miscounted");
   if (Stats) {
     // Merged = input phase gates absorbed into another site's rotation.
     // Every emission site had at least one contribution, so this is
@@ -491,75 +500,6 @@ Circuit phaseFold(const Circuit &C, OptStats *Stats) {
     // gates (e.g. 7 units = Z + S + T).
     Stats->MergedRotations += PhaseGatesIn - EmittedSites;
     Stats->EmittedRotations += PhaseGatesOut;
-  }
-  return Out;
-}
-
-Circuit phaseFoldReference(const Circuit &C) {
-  std::vector<Parity> Wire(C.NumQubits);
-  uint32_t NextVar = 0;
-  for (unsigned Q = 0; Q != C.NumQubits; ++Q)
-    Wire[Q].reset(NextVar++);
-
-  struct Accum {
-    int Units = 0;
-    size_t FirstGate = 0;
-    Qubit Target = 0;
-    bool FirstComplemented = false;
-  };
-  std::map<std::vector<uint32_t>, Accum> Phases;
-  std::vector<bool> IsPhaseGate(C.Gates.size(), false);
-
-  for (size_t I = 0; I != C.Gates.size(); ++I) {
-    const Gate &G = C.Gates[I];
-    if (G.isPhase() && G.Controls.empty()) {
-      IsPhaseGate[I] = true;
-      Parity &P = Wire[G.Target];
-      int Units = phaseUnits(G.Kind);
-      if (P.Complemented)
-        Units = -Units;
-      auto [It, Fresh] = Phases.try_emplace(P.Vars);
-      if (Fresh) {
-        It->second.FirstGate = I;
-        It->second.Target = G.Target;
-        It->second.FirstComplemented = P.Complemented;
-      }
-      It->second.Units = (It->second.Units + Units) % 8;
-      continue;
-    }
-    switch (G.Kind) {
-    case GateKind::X:
-      if (G.Controls.empty()) {
-        Wire[G.Target].Complemented ^= true;
-      } else if (G.Controls.size() == 1) {
-        Wire[G.Target].xorWith(Wire[G.Controls[0]]);
-      } else {
-        Wire[G.Target].reset(NextVar++);
-      }
-      break;
-    case GateKind::H:
-    default:
-      Wire[G.Target].reset(NextVar++);
-      break;
-    }
-  }
-
-  std::map<size_t, const Accum *> EmitAt;
-  for (const auto &[Vars, A] : Phases)
-    if (A.Units % 8 != 0)
-      EmitAt[A.FirstGate] = &A;
-
-  Circuit Out;
-  Out.NumQubits = C.NumQubits;
-  for (size_t I = 0; I != C.Gates.size(); ++I) {
-    auto It = EmitAt.find(I);
-    if (It != EmitAt.end()) {
-      const Accum &A = *It->second;
-      emitPhase(A.FirstComplemented ? -A.Units : A.Units, A.Target,
-                Out.Gates);
-    }
-    if (!IsPhaseGate[I])
-      Out.Gates.push_back(C.Gates[I]);
   }
   return Out;
 }

@@ -20,12 +20,12 @@
 ///    partial improvement that plateaus, bounded only by its timeout (or
 ///    by its stale-round early exit once it reaches a fixpoint).
 ///
-/// Since PR 4 the hot passes run over a circuit::Netlist (per-wire
-/// doubly-linked gate sequences): cancellation is a worklist-driven
-/// fixpoint with no per-round circuit copies, and phase folding keys its
-/// parity table on an incrementally maintained hash. The pre-netlist
-/// implementations are kept as *Reference entry points so differential
-/// tests can pit the two against each other.
+/// Cancellation runs over a circuit::Netlist (per-wire doubly-linked
+/// gate sequences) as a worklist-driven fixpoint with no per-round
+/// circuit copies; phase folding keys a flat open-addressed parity table
+/// on an incrementally maintained hash. The straightforward
+/// implementations they replaced are test oracles in
+/// tests/support/QoptReference.h, outside this library.
 ///
 /// Every pass is semantics-preserving; the test suite verifies this by
 /// simulation on random basis states.
@@ -48,9 +48,10 @@ namespace spire::qopt {
 /// publishes them as `qopt.*` registry metrics.
 ///
 /// The fields are relaxed atomics (obs::AtomicCounter) so one OptStats
-/// can be shared by sharded pass runs on the coming thread pool (ROADMAP
-/// item 4) without a merge step; the hot loops accumulate plain locals
-/// and flush once per pass, so single-threaded cost is unchanged.
+/// could be shared by concurrent pass runs without a merge step (no
+/// thread pool runs them today; sharded qopt is deferred); the hot loops
+/// accumulate plain locals and flush once per pass, so single-threaded
+/// cost is unchanged.
 struct OptStats {
   obs::AtomicCounter CancelledPairs;   ///< Inverse pairs removed by cancellation.
   obs::AtomicCounter CancelPasses;     ///< Full fixpoint passes (last finds nothing).
@@ -93,20 +94,21 @@ circuit::Circuit cancelAdjacentGates(const circuit::Circuit &C,
 
 /// Rotation merging over wire parities (phase folding). Expects a
 /// Clifford+T-level circuit; multiply-controlled X gates and CH are
-/// treated as parity barriers for their targets. The parity table is
-/// hashed (incrementally maintained key) and parity supports are capped
-/// (an oversized parity degrades to an opaque fresh variable — the same
-/// conservative give-up as an H barrier, so merging is lost but soundness
-/// is not), making the pass linear-expected in the gate count.
+/// treated as parity barriers for their targets. Each merged rotation is
+/// re-emitted at its first contribution's site, so the output is fully
+/// determined by the input.
+///
+/// Parity supports are capped at max(64, 2 x qubits): an oversized
+/// parity degrades to an opaque fresh variable — the same conservative
+/// give-up as an H barrier, so merging is lost but soundness is not.
+/// Rotation accumulators keep their parities in one flat arena behind an
+/// open-addressed table keyed by an incrementally maintained hash (exact
+/// comparison on a hash match), and CNOTs edit wire parities in place
+/// through one reused buffer. The pass is linear-expected in the gate
+/// count, and its heap allocations depend on the qubit count and the
+/// logarithm of the number of distinct parities, not on the gate count.
 circuit::Circuit phaseFold(const circuit::Circuit &C,
                            OptStats *Stats = nullptr);
-
-/// The pre-netlist implementations (copy-and-compact rounds; std::map
-/// parity table), kept verbatim as differential-testing oracles for the
-/// passes above and as the measured "before" of bench_qopt_scale.
-circuit::Circuit cancelAdjacentGatesReference(const circuit::Circuit &C,
-                                              const CancelOptions &Options);
-circuit::Circuit phaseFoldReference(const circuit::Circuit &C);
 
 /// Consecutive no-improvement rounds searchRewrite tolerates before
 /// exiting early.

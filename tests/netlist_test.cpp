@@ -155,7 +155,7 @@ TEST(Netlist, RandomizedUnlinkRestoreIntegritySweep) {
       C.addX(T);
       break;
     case 1:
-      C.addX(T, {(T + 1 + Rng() % 7) % 8});
+      C.addX(T, {static_cast<Qubit>((T + 1 + Rng() % 7) % 8)});
       break;
     case 2: {
       Qubit A = (T + 1 + Rng() % 7) % 8;
@@ -180,8 +180,9 @@ TEST(Netlist, RandomizedUnlinkRestoreIntegritySweep) {
       N.unlink(Id);
       Unlinked.push_back(Id);
     }
-    if (Step % 10 == 9)
+    if (Step % 10 == 9) {
       ASSERT_TRUE(N.checkIntegrity()) << "after step " << Step;
+    }
   }
   ASSERT_TRUE(N.checkIntegrity());
   // Full LIFO restore returns to the original circuit.

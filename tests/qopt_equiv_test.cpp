@@ -12,9 +12,11 @@
 #include "analysis/Analysis.h"
 #include "benchmarks/Harness.h"
 #include "interchange/Interchange.h"
+#include "QoptReference.h"
 #include "qopt/Passes.h"
 #include "sim/BitSliced.h"
 #include "sim/Simulator.h"
+#include "support/AllocStats.h"
 
 #include <gtest/gtest.h>
 #include <algorithm>
@@ -78,6 +80,58 @@ Circuit randomCliffordT(uint64_t Seed, unsigned NumQubits,
       if (!C.Gates.empty())
         C.Gates.push_back(C.Gates.back());
       break;
+    }
+  }
+  return C;
+}
+
+/// A random CNOT+phase circuit rich in distinct wire parities — the
+/// shape that grows phaseFold's phase table and parity arena far past
+/// their initial sizes. Parities draw only on the NumQubits initial
+/// variables plus one fresh variable per H or Toffoli (at most
+/// MaxResets of them), so keeping that sum within 64 keeps every parity
+/// under phaseFold's support cap, where the uncapped oracle must agree
+/// gate for gate.
+Circuit randomParityCircuit(uint64_t Seed, unsigned NumQubits,
+                            size_t NumGates, unsigned MaxResets) {
+  std::mt19937_64 Rng(Seed);
+  Circuit C;
+  C.NumQubits = NumQubits;
+  C.Gates.reserve(NumGates);
+  unsigned Resets = MaxResets;
+  auto randomQubit = [&] { return static_cast<Qubit>(Rng() % NumQubits); };
+  auto otherQubit = [&](Qubit T) {
+    return static_cast<Qubit>((T + 1 + Rng() % (NumQubits - 1)) % NumQubits);
+  };
+  static constexpr GateKind Phases[] = {GateKind::T, GateKind::Tdg,
+                                        GateKind::S, GateKind::Sdg,
+                                        GateKind::Z};
+  while (C.Gates.size() < NumGates) {
+    Qubit T = randomQubit();
+    uint64_t R = Rng() % 20;
+    if (R < 10) {
+      // A CNOT, then a phase on the parity it just made.
+      C.addX(T, {otherQubit(T)});
+      C.add(Gate(Phases[Rng() % 5], T));
+    } else if (R < 15) {
+      C.add(Gate(Phases[Rng() % 5], T));
+    } else if (R < 17) {
+      C.addX(T);
+    } else if (R == 17 && Resets > 0) {
+      --Resets;
+      if (Resets % 2) {
+        C.addH(T);
+      } else {
+        Qubit A = otherQubit(T), B = otherQubit(T);
+        if (B == A)
+          B = (B + 1) % NumQubits == T ? (B + 2) % NumQubits
+                                       : (B + 1) % NumQubits;
+        C.addX(T, {A, B});
+      }
+    } else if (!C.Gates.empty()) {
+      // Repeat the previous gate: a doubled phase merges at once; a
+      // doubled CNOT restores an earlier parity for later phases.
+      C.Gates.push_back(C.Gates.back());
     }
   }
   return C;
@@ -257,6 +311,50 @@ TEST_P(QoptDifferential, PhaseFoldAloneMatchesReferenceGateForGate) {
   for (size_t I = 0; I != New.Gates.size(); ++I)
     ASSERT_TRUE(New.Gates[I] == Ref.Gates[I])
         << "seed " << Seed << " gate " << I;
+}
+
+TEST(QoptFoldScale, LargeCircuitMatchesReferenceGateForGate) {
+  // 200k gates on 24 wires: the 40-gate fuzz circuits above never grow
+  // the phase table past its first 64 slots; this one doubles it to
+  // over 100K slots, rehashing every accumulator each time. 24 wires
+  // plus 40 resets stay within the support cap of 64.
+  Circuit C = randomParityCircuit(/*Seed=*/7, 24, 200000, /*MaxResets=*/40);
+  qopt::OptStats Stats;
+  Circuit New = qopt::phaseFold(C, &Stats);
+  Circuit Ref = qopt::phaseFoldReference(C);
+
+  int64_t PhaseGatesIn = 0;
+  for (const Gate &G : C.Gates)
+    PhaseGatesIn += G.isPhase() ? 1 : 0;
+  // Each emission site is a distinct parity with a non-zero rotation.
+  int64_t Sites = PhaseGatesIn - Stats.MergedRotations;
+  EXPECT_GE(Sites, 50000) << "too few distinct parities to grow the table";
+  EXPECT_GT(Stats.MergedRotations.value(), 0);
+
+  ASSERT_EQ(New.Gates.size(), Ref.Gates.size());
+  for (size_t I = 0; I != New.Gates.size(); ++I)
+    ASSERT_TRUE(New.Gates[I] == Ref.Gates[I]) << "gate " << I;
+  int64_t PhaseGatesOut = 0;
+  for (const Gate &G : New.Gates)
+    PhaseGatesOut += G.isPhase() ? 1 : 0;
+  EXPECT_EQ(Stats.EmittedRotations.value(), PhaseGatesOut);
+}
+
+TEST(QoptFoldScale, AllocationsDependOnQubitsNotGates) {
+  // Folding 10x more gates on the same wires must not allocate more
+  // than a per-wire budget: wire parities edit in place, and the table,
+  // arena and accumulators grow by doubling.
+  constexpr unsigned Qubits = 32;
+  const int64_t Budget = 8 * Qubits + 64;
+  for (size_t Gates : {20000, 200000}) {
+    Circuit C = randomParityCircuit(/*Seed=*/11, Qubits, Gates,
+                                    /*MaxResets=*/32);
+    int64_t Before = support::allocationCount();
+    Circuit Out = qopt::phaseFold(C);
+    int64_t Allocs = support::allocationCount() - Before;
+    EXPECT_LE(Allocs, Budget) << Gates << " gates";
+    EXPECT_FALSE(Out.Gates.empty());
+  }
 }
 
 // >= 100 seeded circuits per differential property.
