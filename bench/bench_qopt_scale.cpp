@@ -19,7 +19,11 @@
 /// for the removed gates. The compiled point adds two checks that do not
 /// depend on the machine's speed: the fold must allocate at most
 /// 8 x qubits + 64 times, and its output must equal the reference
-/// fold's gate for gate.
+/// fold's gate for gate. The same input also runs through the standard
+/// and peephole cancellation configurations: their outputs must match
+/// the digests recorded before the partner search became wire-indexed,
+/// and the Clifford+T decomposition feeding them may allocate at most 64
+/// times.
 ///
 /// Results are also written as JSON (default `BENCH_qopt.json`, or
 /// argv[1]) — the first point of the repo's perf trajectory; pretty-print
@@ -293,12 +297,48 @@ bool referenceRandomPoint(size_t NumGates, const Row &NewRow,
   return true;
 }
 
-/// The compiled-circuit fold point.
+/// One cancellation configuration run on the compiled circuit.
+struct CompiledCancel {
+  const char *Name;
+  qopt::CancelOptions Options;
+  uint64_t RecordedHash; ///< gateDigest of the output, recorded.
+  double Seconds = 0;
+  int64_t GatesOut = 0;
+  int64_t Visits = 0;
+  int64_t Pairs = 0;
+  bool MatchesRecorded = false;
+};
+
+/// A digest of a circuit's gates, in order.
+uint64_t gateDigest(const Circuit &C) {
+  uint64_t H = support::mix64(C.NumQubits);
+  for (const Gate &G : C.Gates) {
+    H = support::mix64(H ^ static_cast<uint64_t>(G.Kind));
+    H = support::mix64(H ^ G.Target);
+    for (Qubit Q : G.Controls)
+      H = support::mix64(H ^ Q);
+    H = support::mix64(H ^ 0xffffffffu); // End of the control list.
+  }
+  return H;
+}
+
+/// Clifford+T decomposition of the compiled circuit may allocate its
+/// output, not its gates.
+constexpr int64_t DecomposeAllocationBudget = 64;
+
+/// The compiled-circuit point: decomposition, the cancellation
+/// configurations, and the fold.
 struct CompiledRow {
   int64_t Size = 10;
   int64_t Qubits = 0;
   int64_t Gates = 0;
   int64_t GatesOut = 0;
+  double DecomposeSeconds = 0;
+  int64_t DecomposeAllocations = 0;
+  CompiledCancel Cancels[2] = {
+      {"standard", qopt::CancelOptions::standard(), 0x679273639ab64aacull},
+      {"peephole", qopt::CancelOptions::peephole(), 0x3c587e215ed959c8ull},
+  };
   double FoldSeconds = 0;
   double ReferenceSeconds = 0; ///< phaseFoldReference on the same input.
   int64_t Allocations = 0;
@@ -312,17 +352,61 @@ struct CompiledRow {
   }
 };
 
-/// Folds `length` at n=10 after Clifford+T decomposition, counting the
-/// fold's heap allocations, and checks it against the reference fold.
-bool compiledPoint(CompiledRow &Out) {
-  driver::PipelineOptions Opts;
-  Opts.BuildCircuit = true;
-  Opts.AnalyzeCost = false;
-  driver::CompilationResult R = benchmarks::runPipelineOrDie(
-      benchmarks::lengthBenchmark(), Out.Size, Opts);
-  Circuit CT = decompose::toCliffordT(R.Compiled->Circ);
+/// Decomposes `length` at n=10 to Clifford+T and cancels it under each
+/// configuration of `Out.Cancels`, checking the decomposition's heap
+/// allocations and each output against its recorded digest.
+bool compiledCancelPoint(const Circuit &MCX, Circuit &CT, CompiledRow &Out) {
+  int64_t AllocsBefore = support::allocationCount();
+  auto Start = std::chrono::steady_clock::now();
+  CT = decompose::toCliffordT(MCX);
+  Out.DecomposeSeconds = secondsSince(Start);
+  Out.DecomposeAllocations = support::allocationCount() - AllocsBefore;
   Out.Qubits = CT.NumQubits;
   Out.Gates = static_cast<int64_t>(CT.Gates.size());
+
+  bool OK = true;
+  for (CompiledCancel &K : Out.Cancels) {
+    qopt::OptStats Stats;
+    Start = std::chrono::steady_clock::now();
+    Circuit Cancelled = qopt::cancelAdjacentGates(CT, K.Options, &Stats);
+    K.Seconds = secondsSince(Start);
+    K.GatesOut = static_cast<int64_t>(Cancelled.Gates.size());
+    K.Visits = Stats.WorklistVisits;
+    K.Pairs = Stats.CancelledPairs;
+    uint64_t Digest = gateDigest(Cancelled);
+    K.MatchesRecorded = Digest == K.RecordedHash;
+    std::printf("%9s %9lld %9lld %9.3f %12.0f %10lld %8lld %s\n", K.Name,
+                static_cast<long long>(Out.Gates),
+                static_cast<long long>(K.GatesOut), K.Seconds,
+                Out.Gates / (K.Seconds > 0 ? K.Seconds : 1e-9),
+                static_cast<long long>(K.Visits),
+                static_cast<long long>(K.Pairs),
+                K.MatchesRecorded ? "yes" : "NO");
+    if (!K.MatchesRecorded) {
+      std::fprintf(stderr, "compiled %s cancellation output digest "
+                           "0x%016llx differs from the recorded 0x%016llx\n",
+                   K.Name, static_cast<unsigned long long>(Digest),
+                   static_cast<unsigned long long>(K.RecordedHash));
+      OK = false;
+    }
+  }
+  std::printf("decompose: %.3f s, %lld allocations (budget %lld)\n",
+              Out.DecomposeSeconds,
+              static_cast<long long>(Out.DecomposeAllocations),
+              static_cast<long long>(DecomposeAllocationBudget));
+  if (Out.DecomposeAllocations > DecomposeAllocationBudget) {
+    std::fprintf(stderr, "compiled decomposition made %lld allocations, "
+                         "over the budget of %lld\n",
+                 static_cast<long long>(Out.DecomposeAllocations),
+                 static_cast<long long>(DecomposeAllocationBudget));
+    OK = false;
+  }
+  return OK;
+}
+
+/// Folds the Clifford+T `length` circuit, counting the fold's heap
+/// allocations, and checks it against the reference fold.
+bool compiledFoldPoint(const Circuit &CT, CompiledRow &Out) {
   Out.AllocationBudget = 8 * Out.Qubits + 64;
 
   qopt::OptStats Stats;
@@ -425,6 +509,16 @@ void writeJson(const std::string &Path, const std::vector<Row> &Random,
   W.kv("qubits", Compiled.Qubits);
   W.kv("gates", Compiled.Gates);
   W.kv("gates_out", Compiled.GatesOut);
+  W.kv("decompose_seconds", Compiled.DecomposeSeconds, 6);
+  W.kv("decompose_allocations", Compiled.DecomposeAllocations);
+  for (const CompiledCancel &K : Compiled.Cancels) {
+    std::string Prefix = std::string("cancel_") + K.Name + "_";
+    W.kv(Prefix + "seconds", K.Seconds, 6);
+    W.kv(Prefix + "gates_out", K.GatesOut);
+    W.kv(Prefix + "visits", K.Visits);
+    W.kv(Prefix + "pairs", K.Pairs);
+    W.kv(Prefix + "matches_recorded", K.MatchesRecorded);
+  }
   W.kv("fold_seconds", Compiled.FoldSeconds, 6);
   W.kv("fold_gates_per_sec", static_cast<int64_t>(Compiled.foldRate()));
   W.kv("reference_fold_seconds", Compiled.ReferenceSeconds, 6);
@@ -483,12 +577,23 @@ int main(int Argc, char **Argv) {
                             RandomSpeedup))
     return 1;
 
-  std::printf("\n-- compiled circuit: length n=10, clifford+t --\n");
+  std::printf("\n-- compiled circuit: length n=10, clifford+t cancel --\n");
+  std::printf("%9s %9s %9s %9s %12s %10s %8s %s\n", "config", "gates",
+              "out", "cancel s", "gates/sec", "visits", "pairs", "=rec");
+  driver::PipelineOptions Opts;
+  Opts.BuildCircuit = true;
+  Opts.AnalyzeCost = false;
+  CompiledRow Compiled;
+  driver::CompilationResult R = benchmarks::runPipelineOrDie(
+      benchmarks::lengthBenchmark(), Compiled.Size, Opts);
+  Circuit CT;
+  if (!compiledCancelPoint(R.Compiled->Circ, CT, Compiled))
+    return 1;
+  std::printf("\n-- compiled circuit: length n=10, clifford+t fold --\n");
   std::printf("%9s %7s %9s %8s %12s %7s %8s %8s %9s %s\n", "gates",
               "qubits", "out", "fold s", "gates/sec", "ref s", "allocs",
               "budget", "merged", "=ref");
-  CompiledRow Compiled;
-  if (!compiledPoint(Compiled))
+  if (!compiledFoldPoint(CT, Compiled))
     return 1;
 
   // The nested compute–uncompute onion: the netlist worklist cascades it

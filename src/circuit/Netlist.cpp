@@ -5,7 +5,8 @@
 
 namespace spire::circuit {
 
-Netlist::Netlist(const Circuit &C) : NumQubits(C.NumQubits) {
+Netlist::Netlist(const Circuit &C)
+    : Gates(C.Gates.data()), NumQubits(C.NumQubits) {
   Nodes.reserve(C.Gates.size());
   size_t TotalWires = 0;
   for (const Gate &G : C.Gates)
@@ -14,17 +15,14 @@ Netlist::Netlist(const Circuit &C) : NumQubits(C.NumQubits) {
   WireHeads.assign(NumQubits, Nil);
   WireTails.assign(NumQubits, Nil);
 
-  for (const Gate &G : C.Gates) {
-    NodeId Id = static_cast<NodeId>(Nodes.size());
+  uint32_t LinkBase = 0;
+  for (size_t I = 0; I != C.Gates.size(); ++I) {
+    NodeId Id = static_cast<NodeId>(I);
     Node N;
-    N.G = G;
-    N.LinkBase = static_cast<uint32_t>(Id == 0
-                                           ? 0
-                                           : Nodes.back().LinkBase +
-                                                 (1 + Nodes.back()
-                                                          .G.numControls()));
+    N.LinkBase = LinkBase;
+    LinkBase += numWires(Id);
     N.Prev = Tail;
-    Nodes.push_back(std::move(N));
+    Nodes.push_back(N);
     if (Tail != Nil)
       Nodes[Tail].Next = Id;
     else
@@ -50,7 +48,7 @@ Netlist::Netlist(const Circuit &C) : NumQubits(C.NumQubits) {
 }
 
 unsigned Netlist::wireIndexOf(NodeId N, Qubit Q) const {
-  const Gate &G = Nodes[N].G;
+  const Gate &G = Gates[N];
   if (G.Target == Q)
     return 0;
   const Qubit *Begin = G.Controls.begin(), *End = G.Controls.end();
@@ -126,7 +124,7 @@ Circuit Netlist::toCircuit() const {
   Out.NumQubits = NumQubits;
   Out.Gates.reserve(LiveCount);
   for (NodeId N = Head; N != Nil; N = Nodes[N].Next)
-    Out.Gates.push_back(Nodes[N].G);
+    Out.Gates.push_back(Gates[N]);
   return Out;
 }
 
@@ -159,7 +157,7 @@ bool Netlist::checkIntegrity() const {
     for (NodeId N = WireHeads[Q]; N != Nil;) {
       if (!Nodes[N].Live)
         return false;
-      if (!Nodes[N].G.touches(Q))
+      if (!Gates[N].touches(Q))
         return false;
       const Link &L = Links[Nodes[N].LinkBase + wireIndexOf(N, Q)];
       if (L.Prev != Prev)

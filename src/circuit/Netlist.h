@@ -19,6 +19,12 @@
 /// operand count — building a netlist performs O(1) allocations however
 /// many gates it holds.
 ///
+/// The netlist borrows its gates: node N's gate is the circuit's
+/// `Gates[N]`, read in place, and a node holds only its links (16
+/// bytes). A netlist must therefore not outlive the circuit it was built
+/// from, nor see that circuit's gate vector modified; construction from
+/// a temporary circuit is deleted.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SPIRE_CIRCUIT_NETLIST_H
@@ -37,6 +43,8 @@ public:
   static constexpr NodeId Nil = 0xffffffffu;
 
   explicit Netlist(const Circuit &C);
+  /// The nodes would borrow the gates of a circuit about to be destroyed.
+  Netlist(Circuit &&) = delete;
 
   unsigned numQubits() const { return NumQubits; }
   /// Total nodes ever created (live or unlinked); node ids are < size().
@@ -50,15 +58,15 @@ public:
   NodeId next(NodeId N) const { return Nodes[N].Next; }
   NodeId prev(NodeId N) const { return Nodes[N].Prev; }
 
-  const Gate &gate(NodeId N) const { return Nodes[N].G; }
+  const Gate &gate(NodeId N) const { return Gates[N]; }
   bool live(NodeId N) const { return Nodes[N].Live; }
 
   // -- Per-wire sequences. ---------------------------------------------------
   /// Wires of a node: wire 0 is the target, wires 1..numControls() the
   /// controls in sorted order.
-  unsigned numWires(NodeId N) const { return 1 + Nodes[N].G.numControls(); }
+  unsigned numWires(NodeId N) const { return 1 + Gates[N].numControls(); }
   Qubit wireQubit(NodeId N, unsigned W) const {
-    const Gate &G = Nodes[N].G;
+    const Gate &G = Gates[N];
     return W == 0 ? G.Target : G.Controls[W - 1];
   }
   NodeId wireNext(NodeId N, unsigned W) const {
@@ -99,7 +107,6 @@ private:
     NodeId Prev = Nil, Next = Nil;
   };
   struct Node {
-    Gate G;
     NodeId Prev = Nil, Next = Nil;
     uint32_t LinkBase = 0;
     bool Live = true;
@@ -109,6 +116,7 @@ private:
   /// position via binary search of the sorted control list).
   unsigned wireIndexOf(NodeId N, Qubit Q) const;
 
+  const Gate *Gates; ///< The source circuit's gates, indexed by node id.
   std::vector<Node> Nodes;
   std::vector<Link> Links;
   std::vector<NodeId> WireHeads, WireTails;

@@ -9,16 +9,17 @@ namespace spire::decompose {
 
 namespace {
 
-/// Emits the AND-ladder computing the conjunction of Controls into a
-/// chain of ancillas starting at AncillaBase; returns the qubit holding
-/// the full conjunction and appends the ladder gates to Out. The caller
-/// re-emits the ladder in reverse to uncompute.
-Qubit emitAndLadder(const ControlList &Controls, Qubit AncillaBase,
+/// Emits the AND-ladder computing the conjunction of the `Count >= 2`
+/// controls at `Controls` into a chain of ancillas starting at
+/// AncillaBase; appends the ladder gates to Out and returns the qubit
+/// holding the full conjunction. The caller re-emits the ladder in
+/// reverse to uncompute.
+Qubit emitAndLadder(const Qubit *Controls, size_t Count, Qubit AncillaBase,
                     std::vector<Gate> &Out) {
-  assert(Controls.size() >= 2 && "ladder needs at least two controls");
+  assert(Count >= 2 && "ladder needs at least two controls");
   Qubit Acc = AncillaBase;
   Out.push_back(Gate(GateKind::X, Acc, {Controls[0], Controls[1]}));
-  for (size_t I = 2; I < Controls.size(); ++I) {
+  for (size_t I = 2; I < Count; ++I) {
     Qubit Next = AncillaBase + static_cast<Qubit>(I - 1);
     Out.push_back(Gate(GateKind::X, Next, {Acc, Controls[I]}));
     Acc = Next;
@@ -26,22 +27,38 @@ Qubit emitAndLadder(const ControlList &Controls, Qubit AncillaBase,
   return Acc;
 }
 
+/// Re-emits Out[Start, Start + Count) in reverse order (the ladder
+/// uncompute). Out must have room reserved: the copies read Out itself.
+void appendReversed(std::vector<Gate> &Out, size_t Start, size_t Count) {
+  assert(Out.capacity() - Out.size() >= Count && "unreserved uncompute");
+  for (size_t I = Start + Count; I-- > Start;)
+    Out.push_back(Out[I]);
+}
+
 } // namespace
 
 Circuit toToffoli(const Circuit &C) {
   // Ancilla requirement: c-2 for an X with c > 2 controls, c-1 for an H
-  // with c > 1 controls.
+  // with c > 1 controls. An X with c > 2 controls expands to 2(c-2)+1
+  // Toffolis, an H with c > 1 controls to 2(c-1) Toffolis and a CH.
   unsigned MaxAncillas = 0;
+  size_t OutSize = 0;
   for (const Gate &G : C.Gates) {
     unsigned NC = G.numControls();
-    if (G.Kind == GateKind::X && NC > 2)
+    if (G.Kind == GateKind::X && NC > 2) {
       MaxAncillas = std::max(MaxAncillas, NC - 2);
-    if (G.Kind == GateKind::H && NC > 1)
+      OutSize += 2 * (NC - 2) + 1;
+    } else if (G.Kind == GateKind::H && NC > 1) {
       MaxAncillas = std::max(MaxAncillas, NC - 1);
+      OutSize += 2 * (NC - 1) + 1;
+    } else {
+      ++OutSize;
+    }
   }
 
   Circuit Out;
   Out.NumQubits = C.NumQubits + MaxAncillas;
+  Out.Gates.reserve(OutSize);
   Qubit AncillaBase = C.NumQubits;
 
   for (const Gate &G : C.Gates) {
@@ -49,30 +66,27 @@ Circuit toToffoli(const Circuit &C) {
     if (G.Kind == GateKind::X && NC > 2) {
       // Barenco Fig. 5: ladder over all controls but the last, then a
       // Toffoli of (ladder head, last control) onto the target.
-      ControlList LadderControls(G.Controls.begin(),
-                                 G.Controls.end() - 1);
-      std::vector<Gate> Ladder;
-      Qubit Head = emitAndLadder(LadderControls, AncillaBase, Ladder);
-      for (const Gate &L : Ladder)
-        Out.Gates.push_back(L);
+      size_t Start = Out.Gates.size();
+      Qubit Head =
+          emitAndLadder(G.Controls.begin(), NC - 1, AncillaBase, Out.Gates);
+      size_t Rungs = Out.Gates.size() - Start;
       Out.Gates.push_back(
           Gate(GateKind::X, G.Target, {Head, G.Controls.back()}));
-      for (auto It = Ladder.rbegin(); It != Ladder.rend(); ++It)
-        Out.Gates.push_back(*It);
+      appendReversed(Out.Gates, Start, Rungs);
       continue;
     }
     if (G.Kind == GateKind::H && NC > 1) {
-      std::vector<Gate> Ladder;
-      Qubit Head = emitAndLadder(G.Controls, AncillaBase, Ladder);
-      for (const Gate &L : Ladder)
-        Out.Gates.push_back(L);
+      size_t Start = Out.Gates.size();
+      Qubit Head =
+          emitAndLadder(G.Controls.begin(), NC, AncillaBase, Out.Gates);
+      size_t Rungs = Out.Gates.size() - Start;
       Out.Gates.push_back(Gate(GateKind::H, G.Target, {Head}));
-      for (auto It = Ladder.rbegin(); It != Ladder.rend(); ++It)
-        Out.Gates.push_back(*It);
+      appendReversed(Out.Gates, Start, Rungs);
       continue;
     }
     Out.Gates.push_back(G);
   }
+  assert(Out.Gates.size() == OutSize && "output size miscounted");
   return Out;
 }
 
@@ -94,16 +108,22 @@ Circuit toCliffordT(const Circuit &C) {
   }
   const Circuit &In = *InPtr;
 
+  // Each Toffoli becomes 15 gates; everything else is copied.
+  size_t Toffolis = 0;
+  for (const Gate &G : In.Gates)
+    Toffolis += G.isToffoli();
   Circuit Out;
   Out.NumQubits = In.NumQubits;
+  Out.Gates.reserve(In.Gates.size() + 14 * Toffolis);
 
   for (const Gate &G : In.Gates) {
-    if (G.Kind == GateKind::X && G.numControls() == 2) {
-      // Standard 7-T Toffoli (paper Fig. 6).
+    if (G.isToffoli()) {
+      // Standard 7-T Toffoli (paper Fig. 6). Every gate has at most one
+      // control, so its control list is sorted as built and inline.
       Qubit A = G.Controls[0], B = G.Controls[1], T = G.Target;
-      auto Add = [&](GateKind K, Qubit Target,
-                     std::vector<Qubit> Controls = {}) {
-        Out.Gates.push_back(Gate(K, Target, std::move(Controls)));
+      auto Add = [&](GateKind K, Qubit Target, ControlList Controls = {}) {
+        Out.Gates.push_back(
+            Gate(K, Target, std::move(Controls), Gate::PresortedTag{}));
       };
       Add(GateKind::H, T);
       Add(GateKind::X, T, {B});

@@ -72,6 +72,29 @@ bool isInversePair(const Gate &A, const Gate &B) {
          A.Controls == B.Controls;
 }
 
+/// Counts the unlinked node ids up to a bound: a Fenwick tree over the
+/// netlist's ids, so the live rank of a gate after another is a
+/// position difference minus an O(log n) range count.
+class UnlinkedIds {
+public:
+  explicit UnlinkedIds(size_t Size) : Tree(Size + 1, 0) {}
+
+  void add(Netlist::NodeId Id) {
+    for (size_t I = size_t(Id) + 1; I < Tree.size(); I += I & -I)
+      ++Tree[I];
+  }
+  /// Unlinked ids in [0, Id].
+  uint32_t upTo(Netlist::NodeId Id) const {
+    uint32_t Sum = 0;
+    for (size_t I = size_t(Id) + 1; I != 0; I &= I - 1)
+      Sum += Tree[I];
+    return Sum;
+  }
+
+private:
+  std::vector<uint32_t> Tree;
+};
+
 /// The worklist engine behind cancelAdjacentGates: scans forward from
 /// each enqueued gate for an inverse partner past commuting gates,
 /// unlinks found pairs in O(1), and re-enqueues the pair's wire-neighbors
@@ -83,6 +106,7 @@ public:
   CancelWorklist(Netlist &N, const CancelOptions &Options)
       : N(N), Options(Options),
         Unbounded(Options.MaxLookahead == CancelOptions::Unbounded),
+        Budget(std::max(1u, Options.MaxLookahead)), Unlinked(N.size()),
         Queued(N.size(), 0) {
     Work.reserve(N.size());
   }
@@ -139,33 +163,27 @@ private:
     }
   }
 
-  /// Bounded scan: walk the global sequence exactly like the reference
-  /// implementation walked the gate vector — every scanned gate, sharing
-  /// wires or not, consumes lookahead budget (this is what makes the
-  /// peephole configurations genuinely weaker).
-  Netlist::NodeId findPartnerBounded(Netlist::NodeId A) {
-    const Gate &GA = N.gate(A);
-    unsigned Scanned = 0;
-    for (Netlist::NodeId B = N.next(A); B != Netlist::Nil; B = N.next(B)) {
-      const Gate &GB = N.gate(B);
-      if (isInversePair(GA, GB))
-        return B;
-      if (!gatesCommute(GA, GB))
-        return Netlist::Nil;
-      if (++Scanned >= Options.MaxLookahead)
-        return Netlist::Nil;
-    }
-    return Netlist::Nil;
+  /// The live gates in (A, B]: B's position in the global sequence
+  /// counted from A.
+  uint32_t liveRank(Netlist::NodeId A, Netlist::NodeId B) const {
+    return (B - A) - (Unlinked.upTo(B) - Unlinked.upTo(A));
   }
 
-  /// Unbounded scan: under the conservative commutation rules, gates on
-  /// disjoint qubits always commute and can never be partners, so only
-  /// gates sharing a wire with A matter. Walk them in circuit order by
-  /// advancing one cursor per wire of A (node ids are positions). Stop
-  /// at the first non-commuting gate, or at a gate identical to A — any
-  /// partner beyond it pairs with that closer copy instead, and A gets
-  /// re-enqueued when it does.
-  Netlist::NodeId findPartnerUnbounded(Netlist::NodeId A) {
+  /// Under the conservative commutation rules, gates on disjoint qubits
+  /// always commute and can never be partners, so only gates sharing a
+  /// wire with A matter. Walk them in circuit order by advancing one
+  /// cursor per wire of A (node ids are positions), and stop at the
+  /// first non-commuting gate. The lookahead still counts every live
+  /// gate in between, shared wire or not (this is what makes the
+  /// peephole configurations genuinely weaker): a candidate is examined
+  /// only while its live rank after A is within the budget, and the
+  /// first one is always examined. The rank query is skipped while the
+  /// position difference alone is within budget.
+  ///
+  /// The unbounded scan also stops at a gate identical to A: any partner
+  /// beyond it pairs with that closer copy instead, and A gets
+  /// re-enqueued when it does. A bounded scan runs past such copies.
+  Netlist::NodeId findPartner(Netlist::NodeId A) {
     const Gate &GA = N.gate(A);
     unsigned K = N.numWires(A);
     Netlist::NodeId InlineCur[4];
@@ -181,12 +199,14 @@ private:
           B = Cur[W];
       if (B == Netlist::Nil)
         return Netlist::Nil;
+      if (B - A > Budget && liveRank(A, B) > Budget)
+        return Netlist::Nil;
       const Gate &GB = N.gate(B);
       if (isInversePair(GA, GB))
         return B;
       if (!gatesCommute(GA, GB))
         return Netlist::Nil;
-      if (GB == GA)
+      if (Unbounded && GB == GA)
         return Netlist::Nil;
       for (unsigned W = 0; W != K; ++W)
         if (Cur[W] == B)
@@ -195,8 +215,7 @@ private:
   }
 
   bool tryCancel(Netlist::NodeId A) {
-    Netlist::NodeId B =
-        Unbounded ? findPartnerUnbounded(A) : findPartnerBounded(A);
+    Netlist::NodeId B = findPartner(A);
     if (B == Netlist::Nil)
       return false;
     // The gates whose local picture changes are the pair's wire-neighbors
@@ -219,6 +238,8 @@ private:
     }
     N.unlink(A);
     N.unlink(B);
+    Unlinked.add(A);
+    Unlinked.add(B);
     for (Netlist::NodeId Id : Neighbors)
       enqueue(Id);
     return true;
@@ -227,6 +248,8 @@ private:
   Netlist &N;
   const CancelOptions &Options;
   bool Unbounded;
+  unsigned Budget; ///< Highest live rank a candidate partner may have.
+  UnlinkedIds Unlinked;
   std::vector<char> Queued;
   std::vector<Netlist::NodeId> Work;
   std::vector<Netlist::NodeId> Neighbors; ///< Reused across cancellations.

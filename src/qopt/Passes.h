@@ -86,8 +86,13 @@ struct CancelOptions {
 ///
 /// Runs as a worklist fixpoint over a wire-linked netlist: a cancelled
 /// pair is unlinked in O(1) and its wire-neighbors re-enqueued, so there
-/// are no per-round circuit copies and the cost is O(visited gates x
-/// lookahead) rather than O(rounds x gates x lookahead).
+/// are no per-round circuit copies. The partner search is wire-indexed:
+/// it walks only the gates sharing a wire with the visited gate, and a
+/// bounded lookahead examines such a gate only while its live rank after
+/// the visited one (every live gate in between counts, shared wire or
+/// not) is at most max(1, MaxLookahead); a Fenwick tree over cancelled
+/// ids answers the rank. The cost is O(visited gates x shared-wire gates
+/// within the lookahead) rather than O(visited gates x lookahead).
 circuit::Circuit cancelAdjacentGates(const circuit::Circuit &C,
                                      const CancelOptions &Options,
                                      OptStats *Stats = nullptr);

@@ -7,6 +7,7 @@
 #include "circuit/Gate.h"
 #include "decompose/Decompose.h"
 #include "sim/Simulator.h"
+#include "support/AllocStats.h"
 
 #include <gtest/gtest.h>
 #include <random>
@@ -168,6 +169,51 @@ TEST(Decompose, TComplexityInvariantAcrossLevels) {
   Circuit CT = decompose::toCliffordT(C);
   EXPECT_EQ(countGates(CT).T, TAtMCX);
   EXPECT_EQ(countGates(CT).TComplexity, TAtMCX);
+}
+
+namespace {
+
+/// `Copies` repetitions of a Toffoli, or of an MCX with five controls
+/// and an H with three, on the same eight qubits.
+Circuit repeated(unsigned Copies, bool Mcx) {
+  Circuit C;
+  C.NumQubits = 8;
+  for (unsigned I = 0; I != Copies; ++I) {
+    if (Mcx) {
+      C.addX(7, {0, 1, 2, 3, 4});
+      C.addH(6, {0, 1, 2});
+    } else {
+      C.addX(2, {0, 1});
+    }
+  }
+  return C;
+}
+
+/// Heap allocations made by one call of `Decompose` on C, counting the
+/// allocation of its result.
+int64_t allocationsOf(Circuit (*Decompose)(const Circuit &),
+                      const Circuit &C) {
+  int64_t Before = support::allocationCount();
+  Circuit Out = Decompose(C);
+  return support::allocationCount() - Before;
+}
+
+} // namespace
+
+// Decomposition allocates its output (and toCliffordT its Toffoli-level
+// stage), not its gates: ten times more Toffoli or MCX gates on the
+// same qubits may cost no more than a small constant of allocations.
+TEST(Decompose, AllocationsDoNotGrowWithGateCount) {
+  constexpr int64_t MaxAllocations = 4;
+  for (bool Mcx : {false, true}) {
+    for (unsigned Copies : {100u, 1000u}) {
+      SCOPED_TRACE(std::to_string(Copies) + (Mcx ? " MCX" : " Toffoli") +
+                   " gates");
+      Circuit C = repeated(Copies, Mcx);
+      EXPECT_LE(allocationsOf(decompose::toToffoli, C), MaxAllocations);
+      EXPECT_LE(allocationsOf(decompose::toCliffordT, C), MaxAllocations);
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//

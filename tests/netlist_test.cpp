@@ -47,7 +47,8 @@ std::vector<Netlist::NodeId> wireOrder(const Netlist &N, Qubit Q) {
 } // namespace
 
 TEST(Netlist, BuildsGlobalAndWireSequences) {
-  Netlist N(ladder());
+  Circuit C = ladder();
+  Netlist N(C);
   EXPECT_TRUE(N.checkIntegrity());
   EXPECT_EQ(N.liveCount(), 5u);
   EXPECT_EQ(globalOrder(N), (std::vector<Netlist::NodeId>{0, 1, 2, 3, 4}));
@@ -74,7 +75,8 @@ TEST(Netlist, ToCircuitRoundTrips) {
 }
 
 TEST(Netlist, UnlinkSplicesNeighborsOnEveryWire) {
-  Netlist N(ladder());
+  Circuit C = ladder();
+  Netlist N(C);
   N.unlink(1); // X q3 (c: q0): wire 0's list must become 0 -> 4.
   EXPECT_TRUE(N.checkIntegrity());
   EXPECT_EQ(N.liveCount(), 4u);
@@ -88,7 +90,8 @@ TEST(Netlist, UnlinkSplicesNeighborsOnEveryWire) {
 }
 
 TEST(Netlist, UnlinkHeadAndTail) {
-  Netlist N(ladder());
+  Circuit C = ladder();
+  Netlist N(C);
   N.unlink(0);
   N.unlink(4);
   EXPECT_TRUE(N.checkIntegrity());

@@ -7,9 +7,6 @@ name -> {kind, value | count/sum/min/max} map from obs::Registry — plus
 per-point arrays: "<name>_points" for benches (keyed by "size" or
 "gates") and "stages" for metrics dumps (keyed by "stage").
 
-Pre-schema files (no "schema"/"metrics" keys) still print and diff:
-every reader below tolerates missing and extra keys on either side.
-
 Usage:
   tools/bench_report.py BENCH_qopt.json            # pretty-print one run
   tools/bench_report.py old.json new.json          # compare two runs
@@ -19,12 +16,15 @@ Comparison prints the per-point delta of every *_seconds field (negative
 is faster) and flips the exit code to 1 when any shared series regressed
 by more than the --threshold factor (default 1.5x), so CI can use it as
 a coarse run-over-run guard. Points or fields present on only one side
-are reported and skipped, never fatal.
+are reported and skipped, never fatal. A file with any other schema
+(or none) is rejected with exit code 2.
 """
 
 import argparse
 import json
 import sys
+
+SCHEMAS = ("spire-bench-v1", "spire-metrics-v1")
 
 
 def point_series(data):
@@ -55,13 +55,9 @@ def metric_value(sample):
     """The headline number of one unified-metrics entry: counters and
     gauges carry "value"; histograms carry count/sum and reduce to the
     sum here."""
-    if not isinstance(sample, dict):
-        return sample if isinstance(sample, (int, float)) else None
     if "value" in sample:
         return sample["value"]
-    if "sum" in sample:
-        return sample["sum"]
-    return None
+    return sample.get("sum")
 
 
 def fmt(value):
@@ -75,8 +71,8 @@ def fmt(value):
 
 
 def union_columns(points):
-    """Column order: first point's keys, then any keys later points add
-    (older emitters dropped fields that were zero for a point)."""
+    """Column order: first point's keys, then any keys later points
+    add."""
     columns = []
     for p in points:
         for key in p:
@@ -162,14 +158,13 @@ def print_one(path, data, markdown=False, show_metrics=True):
     if isinstance(qopt, dict) and qopt:
         print("\nqopt stats: " + "  ".join(
             f"{k}={fmt(v)}" for k, v in sorted(qopt.items())))
-    metrics = data.get("metrics")
-    if show_metrics and isinstance(metrics, dict) and metrics:
+    metrics = data["metrics"]
+    if show_metrics and metrics:
         heading("metrics", markdown, level=3)
         table = Table(["metric", "kind", "value"])
         for key in sorted(metrics):
             sample = metrics[key]
-            kind = sample.get("kind", "?") if isinstance(sample, dict) \
-                else "counter"
+            kind = sample.get("kind", "?")
             value = metric_value(sample)
             table.row([key, kind, fmt(value) if value is not None else ""])
         table.emit(markdown)
@@ -230,20 +225,18 @@ def compare(old_path, old, new_path, new, threshold, min_seconds,
 
     # Unified-metrics delta: informational only — counter totals shift
     # with workload shape, so this never gates the exit code.
-    old_metrics = old.get("metrics")
-    new_metrics = new.get("metrics")
-    if isinstance(old_metrics, dict) and isinstance(new_metrics, dict):
-        changed = []
-        for key in sorted(set(old_metrics) & set(new_metrics)):
-            a = metric_value(old_metrics[key])
-            b = metric_value(new_metrics[key])
-            if isinstance(a, (int, float)) and isinstance(b, (int, float)) \
-                    and a != b:
-                changed.append(f"{key} {fmt(a)} -> {fmt(b)}")
-        if changed:
-            heading("metrics (informational)", markdown, level=3)
-            for line in changed:
-                print(f"  {line}")
+    old_metrics, new_metrics = old["metrics"], new["metrics"]
+    changed = []
+    for key in sorted(set(old_metrics) & set(new_metrics)):
+        a = metric_value(old_metrics[key])
+        b = metric_value(new_metrics[key])
+        if isinstance(a, (int, float)) and isinstance(b, (int, float)) \
+                and a != b:
+            changed.append(f"{key} {fmt(a)} -> {fmt(b)}")
+    if changed:
+        heading("metrics (informational)", markdown, level=3)
+        for line in changed:
+            print(f"  {line}")
 
     print()
     if regressed:
@@ -280,6 +273,13 @@ def main():
                 loaded.append((path, json.load(f)))
         except (OSError, json.JSONDecodeError) as err:
             print(f"error: cannot read {path}: {err}", file=sys.stderr)
+            return 2
+        data = loaded[-1][1]
+        schema = data.get("schema") if isinstance(data, dict) else None
+        if schema not in SCHEMAS or not isinstance(data.get("metrics"), dict):
+            print(f"error: {path}: schema {schema!r} is not one of "
+                  f"{', '.join(SCHEMAS)} with a metrics object",
+                  file=sys.stderr)
             return 2
 
     if len(loaded) == 1:
