@@ -2,10 +2,10 @@
 
 #include "circuit/Netlist.h"
 #include "support/Governor.h"
+#include "support/SymbolMap.h"
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_map>
 
 using namespace spire::ir;
 using namespace spire::circuit;
@@ -367,9 +367,9 @@ private:
   const CoreProgram &P;
   TargetConfig Config;
   Reporter Out;
-  std::unordered_map<Symbol, VarState> Live;
+  support::SymbolMap<VarState> Live;
   /// Multiset of if-conditions whose bodies are currently open.
-  std::unordered_map<Symbol, unsigned> ActiveConds;
+  support::SymbolMap<unsigned> ActiveConds;
   std::vector<Symbol> ExprVars;
   size_t StmtIndex = 0;
 };

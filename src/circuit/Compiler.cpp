@@ -1,9 +1,10 @@
 #include "circuit/Compiler.h"
 
+#include "support/SymbolMap.h"
+
 #include <algorithm>
 #include <cassert>
 #include <map>
-#include <unordered_map>
 
 using namespace spire::ir;
 
@@ -84,13 +85,14 @@ public:
   /// Register plus live re-declaration depth per variable: `let x <- e`
   /// on a live x XORs into the same register (Appendix B.2) and its
   /// reversal un-assigns the innermost re-declaration, so the register
-  /// is released only when the count returns to zero. One Symbol-keyed
-  /// hash lookup covers what used to be two string-keyed tree lookups.
+  /// is released only when the count returns to zero. One flat
+  /// Symbol-keyed lookup covers what used to be two string-keyed tree
+  /// lookups, and a new variable costs no allocation.
   struct VarInfo {
     BitRange R;
     unsigned Decl = 0;
   };
-  std::unordered_map<Symbol, VarInfo> Vars;
+  support::SymbolMap<VarInfo> Vars;
   std::map<unsigned, std::vector<Qubit>> FreeByWidth;
   Qubit NextFree = 0;
   Qubit MemBase = 0;
@@ -103,7 +105,7 @@ public:
   /// One Appendix-D reservation scope per active with-do do-block.
   struct Reservation {
     SymbolSet Affected;
-    std::map<Symbol, BitRange> Parked;
+    support::SymbolMap<BitRange> Parked;
   };
   std::vector<Reservation> Reservations;
 
@@ -794,13 +796,14 @@ public:
         // reuse — and therefore the emitted circuit — is byte-identical
         // to the seed backend. This is a presentation-order boundary:
         // the spellings are materialized only here.
-        std::vector<std::pair<std::string_view, Symbol>> ByName;
-        ByName.reserve(Done.Parked.size());
-        for (const auto &[Name, Reg] : Done.Parked)
-          ByName.emplace_back(Name.view(), Name);
-        std::sort(ByName.begin(), ByName.end());
-        for (const auto &[View, Name] : ByName)
-          releaseFor(Name, Done.Parked[Name]);
+        std::vector<std::pair<Symbol, BitRange>> ByName(
+            Done.Parked.begin(), Done.Parked.end());
+        std::sort(ByName.begin(), ByName.end(),
+                  [](const auto &A, const auto &B) {
+                    return A.first.view() < B.first.view();
+                  });
+        for (const auto &[Name, Reg] : ByName)
+          releaseFor(Name, Reg);
         // Uncompute the with-block: queue I[body], keeping the reversed
         // copy alive (FreeOwned) until its last statement has compiled.
         CoreStmtList Rev = reverseStmts(A.S->Body);
@@ -955,6 +958,7 @@ PrimitiveProfile profilePrimitive(const CoreStmt &S,
   Emitter E(Types, Config, CellBits);
   std::map<Symbol, const ast::Type *> VarTypes;
   collectStmtVarTypes(S, VarTypes);
+  E.Vars.reserve(VarTypes.size());
   for (const auto &[Name, Ty] : VarTypes)
     E.Vars.emplace(Name, Emitter::VarInfo{E.allocate(E.widthOf(Ty)), 0});
   E.compileStmt(S);

@@ -106,7 +106,7 @@ bool touches(const CoreStmt &S, Symbol Var) {
 
 } // namespace
 
-const circuit::PrimitiveProfile &
+CostModel::ProfileEntry &
 CostModel::profileFor(const CoreStmt &S,
                       const std::vector<Symbol> &Wrap) const {
   // Hoisted handles: one registry lookup per process, one relaxed
@@ -138,8 +138,9 @@ CostModel::profileFor(const CoreStmt &S,
   }
   const CoreStmt &Profiled = Wrapped ? *Wrapped : S;
   return Cache
-      .emplace(Key,
-               circuit::profilePrimitive(Profiled, Types, Config, CellBits))
+      .emplace(Key, ProfileEntry{circuit::profilePrimitive(
+                                     Profiled, Types, Config, CellBits),
+                                 {}})
       .first->second;
 }
 
@@ -162,8 +163,13 @@ Cost CostModel::primitiveCost(const CoreStmt &S,
     else
       ++Fresh;
   }
-  const circuit::PrimitiveProfile &P = profileFor(S, Coinciding);
-  return {P.totalGates(), P.tComplexityUnder(Fresh)};
+  ProfileEntry &P = profileFor(S, Coinciding);
+  if (Fresh >= P.TUnder.size())
+    P.TUnder.resize(Fresh + 1, -1);
+  int64_t &T = P.TUnder[Fresh];
+  if (T < 0)
+    T = P.Profile.tComplexityUnder(Fresh);
+  return {P.Profile.totalGates(), T};
 }
 
 Cost CostModel::analyzeStmtUnder(const CoreStmt &S,

@@ -113,10 +113,20 @@ private:
   Cost primitiveCost(const ir::CoreStmt &S,
                      const std::vector<ir::Symbol> &Conds) const;
 
+  /// A cached profile with its gate count and, memoized per number of
+  /// fresh extra controls asked for so far, its T-complexity (-1 until
+  /// first asked: T is never negative). Recomputing T walks every gate
+  /// of the shape, and a recursion-inlined program asks for the same few
+  /// shapes under the same few control counts on every statement.
+  struct ProfileEntry {
+    circuit::PrimitiveProfile Profile;
+    std::vector<int64_t> TUnder;
+  };
+
   /// Profile of `S` wrapped in if-statements over `Wrap` (outermost
   /// first).
-  const circuit::PrimitiveProfile &
-  profileFor(const ir::CoreStmt &S, const std::vector<ir::Symbol> &Wrap) const;
+  ProfileEntry &profileFor(const ir::CoreStmt &S,
+                           const std::vector<ir::Symbol> &Wrap) const;
 
   /// One pending step of the block walk: visit a statement at a
   /// gate-count multiplier, or pop the innermost condition.
@@ -134,7 +144,7 @@ private:
   /// each symbol as the index of its first occurrence in the key — so
   /// the renamed copies recursion inlining produces share one entry,
   /// while aliasing (`x + x` vs `y + z`) keeps distinct ones.
-  mutable std::unordered_map<std::string, circuit::PrimitiveProfile> Cache;
+  mutable std::unordered_map<std::string, ProfileEntry> Cache;
   /// Scratch reused across probes so a cache hit allocates nothing: the
   /// key under construction, the symbols it has numbered, the enclosing
   /// conditions the primitive reads, and the block-walk worklist.

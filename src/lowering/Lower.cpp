@@ -5,6 +5,7 @@
 #include "obs/Trace.h"
 #include "sema/TypeChecker.h"
 #include "support/Governor.h"
+#include "support/SymbolMap.h"
 
 #include <cassert>
 #include <cstdio>
@@ -12,7 +13,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 using namespace spire::ast;
@@ -33,10 +33,11 @@ struct VarBinding {
 };
 
 /// Scopes key surface spellings by Symbol: one intern (a short-string
-/// hash) per reference, u32 equality thereafter — no per-lookup string
-/// compares and no tree-node churn when scopes are copied around
-/// with-blocks.
-using Scope = std::unordered_map<Symbol, VarBinding>;
+/// hash) per reference, u32 equality thereafter, and a flat table — no
+/// per-lookup string compares and no per-binding node when scopes are
+/// filled per inlined call or copied around with-blocks. An insert or
+/// erase invalidates references into the scope (support/SymbolMap.h).
+using Scope = support::SymbolMap<VarBinding>;
 
 /// Whether a callee body is spliced forward or reversed (un-call).
 enum class CallMode { Forward, Reversed };
@@ -151,8 +152,8 @@ struct Frame {
 
   /// Returns the frame to its just-constructed state, keeping container
   /// capacities (frames are pooled across the up-to-10^5 inlined calls
-  /// of the recursive benchmarks; in particular the callee scope's hash
-  /// buckets are reused instead of reallocated per call).
+  /// of the recursive benchmarks; in particular the callee scope's slot
+  /// array is reused instead of reallocated per call).
   void reset() {
     Stmts = nullptr;
     OwnedStmts.clear();
@@ -318,7 +319,7 @@ private:
   const LowerOptions &Opts;
   TypeContext &Types;
 
-  std::unordered_map<Symbol, unsigned> NameCounters;
+  support::SymbolMap<unsigned> NameCounters;
   unsigned InlineInstances = 0;
   unsigned InlineDepth = 0;
   unsigned AllocCells = 0;
@@ -379,7 +380,10 @@ void Lowerer::journalCounter(Symbol Name) {
 
 Symbol Lowerer::uniquify(Symbol Name) {
   journalCounter(Name);
-  unsigned &Counter = NameCounters[Name];
+  // `Entry` is written back before the suffixed spelling is inserted,
+  // which may rehash NameCounters and move it.
+  auto Entry = NameCounters.emplace(Name, 0).first;
+  unsigned Counter = Entry->second;
   // The common case — first use of the spelling — touches no strings at
   // all; suffixed spellings are materialized (and interned) only when a
   // name is actually reused.
@@ -390,10 +394,10 @@ Symbol Lowerer::uniquify(Symbol Name) {
   ++Counter;
   // Guard against a user-written name colliding with a suffixed one.
   while (NameCounters.count(Result) && Result != Name) {
-    Result = Symbol(Name.str() + "'" +
-                    std::to_string(NameCounters[Name]));
-    ++NameCounters[Name];
+    Result = Symbol(Name.str() + "'" + std::to_string(Counter));
+    ++Counter;
   }
+  Entry->second = Counter;
   if (Result != Name) {
     journalCounter(Result);
     NameCounters[Result] = 1;
@@ -814,14 +818,16 @@ bool Lowerer::runExprStmt(Frame &F, const Stmt &St) {
 
   bool IsUnLet = St.K == Stmt::Kind::UnLet;
   Scope &S = *F.S;
-  auto Target = S.end();
+  // Copied out, not held as an iterator: the scope is erased from below.
+  VarBinding Target;
   if (IsUnLet) {
-    Target = S.find(St.nameSym());
-    if (Target == S.end()) {
+    auto It = S.find(St.nameSym());
+    if (It == S.end()) {
       Diags.error(St.Loc, "un-assignment of unbound variable '" + St.Name +
                               "' during lowering");
       return false;
     }
+    Target = It->second;
   }
 
   Journal J;
@@ -839,9 +845,8 @@ bool Lowerer::runExprStmt(Frame &F, const Stmt &St) {
 
   CoreStmtPtr Main;
   if (IsUnLet) {
-    Main = CoreStmt::unassign(Target->second.CoreName, Target->second.Ty,
-                              std::move(RHS));
-    S.erase(Target);
+    Main = CoreStmt::unassign(Target.CoreName, Target.Ty, std::move(RHS));
+    S.erase(St.nameSym());
   } else {
     auto It = S.find(St.nameSym());
     Symbol CoreName;

@@ -24,11 +24,11 @@
 #include "circuit/Compiler.h"
 #include "ir/Core.h"
 #include "sim/Simulator.h"
+#include "support/SymbolMap.h"
 
 #include <cstdint>
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace spire::sim {
@@ -97,7 +97,7 @@ private:
   unsigned CellBits;
   std::string Error;
   /// Live re-declaration depth per variable (see Interpreter.cpp).
-  std::unordered_map<ir::Symbol, unsigned> DeclCount;
+  support::SymbolMap<unsigned> DeclCount;
 };
 
 /// Encodes a machine state onto the compiled circuit's qubit layout

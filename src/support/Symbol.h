@@ -28,6 +28,14 @@
 /// SymbolSets built with one sort+unique over a scratch vector — no
 /// per-element node allocation.
 ///
+/// SymbolMap<V> (support/SymbolMap.h) is the companion flat map, and the
+/// only Symbol-keyed hash map in the compiler: an open-addressed table
+/// of inline (Symbol, V) slots, so an insert allocates nothing. Unlike
+/// std::unordered_map it moves entries on insert (rehash) and on erase
+/// (backward shift): a reference or iterator into one must not be held
+/// across an insert into or erase from the same map, and its iteration
+/// order is unspecified.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SPIRE_SUPPORT_SYMBOL_H
@@ -35,7 +43,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -200,14 +207,5 @@ private:
 };
 
 } // namespace spire::support
-
-namespace std {
-template <> struct hash<spire::support::Symbol> {
-  size_t operator()(spire::support::Symbol S) const noexcept {
-    // Fibonacci multiplicative scramble of the id; ids are dense.
-    return static_cast<size_t>(S.id()) * 0x9e3779b97f4a7c15ull;
-  }
-};
-} // namespace std
 
 #endif // SPIRE_SUPPORT_SYMBOL_H

@@ -368,3 +368,24 @@ TEST(CostModel, ProfileCacheKeepsAliasingShapesApart) {
   EXPECT_EQ(Model.analyzeStmt(*P.Body[6], 0).T, circuit::tCostOfMCX(3));
   EXPECT_EQ(predicted(P), measured(P));
 }
+
+TEST(CostModel, MemoizedTFollowsTheExtraControlCount) {
+  // The model memoizes T per (cached shape, fresh extra controls). One
+  // shape asked for under 0, 3, 1, 3, 0 extra controls on one model must
+  // give what a fresh profile recomputes for that count each time — a
+  // memo keyed on the shape alone would repeat the first answer.
+  AliasingCase Case = aliasingProgram();
+  const CoreProgram &P = Case.Program;
+  const CoreStmt &Adder = *P.Body[1]; // r2 <- y + z
+  circuit::PrimitiveProfile Profile = circuit::profilePrimitive(
+      Adder, *P.Types, Config, circuit::cellBitsFor(P, Config));
+  ASSERT_NE(Profile.tComplexityUnder(0), Profile.tComplexityUnder(3));
+  costmodel::CostModel Model(P, Config);
+  for (unsigned Extra : {0u, 3u, 1u, 3u, 0u}) {
+    SCOPED_TRACE(std::to_string(Extra) + " extra controls");
+    costmodel::Cost C = Model.analyzeStmt(Adder, Extra);
+    EXPECT_EQ(C.T, Profile.tComplexityUnder(Extra));
+    EXPECT_EQ(C.MCX, Profile.totalGates());
+    EXPECT_EQ(C, costmodel::CostModel(P, Config).analyzeStmt(Adder, Extra));
+  }
+}

@@ -185,3 +185,49 @@ TEST(Pipeline, ConstArgRecursionAtDepth100kCompilesToCircuit) {
   // a compile whose IR was deep).
   EXPECT_FALSE(Pipeline.renderFinalCircuit(R).empty());
 }
+
+//===----------------------------------------------------------------------===//
+// Allocation leanness of lowering and circuit-compile. The lowerer's
+// scopes and name counters and the emitter's register table are flat
+// Symbol-keyed tables, so a name costs no heap node: lowering allocates
+// a bounded number of times per inlined instance (the IR statements it
+// builds), and circuit-compile a number independent of the statement
+// count.
+//===----------------------------------------------------------------------===//
+
+TEST(Pipeline, LowerAndCompileAllocationsDoNotGrowPerName) {
+  // bench_pipeline_scale's size program: one adder and one directly
+  // bound call per level, so size N inlines N instances.
+  const char Source[] = "fun f[n](a: uint) -> uint {"
+                        "  let a2 <- a + 1;"
+                        "  let out <- f[n-1](a2);"
+                        "  return out; }";
+  auto allocsOf = [&](int64_t Size, driver::Stage Which) -> int64_t {
+    driver::PipelineOptions Opts = driver::PipelineOptions::forEntry("f",
+                                                                     Size);
+    Opts.Target.WordBits = 4;
+    Opts.BuildCircuit = true;
+    Opts.AnalyzeUnoptimized = false;
+    Opts.MaxInlineInstances = 1000000;
+    Opts.MaxInlineDepth = 1000000;
+    driver::CompilationResult R = driver::CompilationPipeline(Opts).run(Source);
+    EXPECT_TRUE(R.succeeded()) << R.Diags.str();
+    for (const driver::StageTiming &T : R.Stages)
+      if (T.Which == Which)
+        return T.Allocs;
+    ADD_FAILURE() << "stage " << driver::stageName(Which) << " did not run";
+    return -1;
+  };
+  constexpr int64_t Small = 2000, Large = 20000;
+  constexpr int64_t MaxLowerAllocsPerInstance = 4;
+  for (int64_t Size : {Small, Large}) {
+    SCOPED_TRACE("size " + std::to_string(Size));
+    EXPECT_LE(allocsOf(Size, driver::Stage::Lower),
+              MaxLowerAllocsPerInstance * Size);
+  }
+  // Ten times the statements, the same allocations up to the few
+  // doublings of the register table and the gate vector's reservations.
+  int64_t CompileSmall = allocsOf(Small, driver::Stage::CircuitCompile);
+  int64_t CompileLarge = allocsOf(Large, driver::Stage::CircuitCompile);
+  EXPECT_LE(CompileLarge, CompileSmall + 16);
+}

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -316,6 +317,212 @@ TEST(SymbolSet, AdoptUnsortedSortsAndDedupes) {
     EXPECT_GT(Sym.id(), Prev);
     Prev = Sym.id();
   }
+}
+
+//===----------------------------------------------------------------------===//
+// SymbolMap (support/SymbolMap.h): the flat Symbol-keyed hash map. A
+// seeded differential test against std::unordered_map over random
+// operations, with key pools chosen so that probe runs wrap past the end
+// of the slot array and backward-shift erase has to move entries across
+// the wrap.
+//===----------------------------------------------------------------------===//
+
+#include "support/Hash.h"
+#include "support/SymbolMap.h"
+
+#include <unordered_map>
+
+namespace {
+
+/// The reference: the same entries keyed by id.
+using RefMap = std::unordered_map<uint32_t, int>;
+
+/// Checks that `M` holds exactly the entries of `Ref`: equal sizes, and
+/// iteration visits every live key exactly once with its value.
+void expectSameEntries(const SymbolMap<int> &M, const RefMap &Ref) {
+  ASSERT_EQ(M.size(), Ref.size());
+  EXPECT_EQ(M.empty(), Ref.empty());
+  RefMap Visited;
+  for (const auto &[Key, Value] : M)
+    EXPECT_TRUE(Visited.emplace(Key.id(), Value).second)
+        << "key " << Key.id() << " visited twice";
+  EXPECT_EQ(Visited, Ref);
+}
+
+/// `Count` ids whose probe starts at one of `Homes` in a table of
+/// `Buckets` slots, skipping ids already in `Taken`.
+std::vector<uint32_t> idsHomedAt(std::initializer_list<size_t> Homes,
+                                 size_t Buckets, size_t Count,
+                                 std::vector<uint32_t> &Taken) {
+  std::vector<uint32_t> Out;
+  for (uint32_t Id = 1; Out.size() != Count; ++Id) {
+    size_t Home = SymbolMap<int>::homeSlot(Symbol::fromId(Id), Buckets);
+    if (std::find(Homes.begin(), Homes.end(), Home) != Homes.end() &&
+        std::find(Taken.begin(), Taken.end(), Id) == Taken.end()) {
+      Out.push_back(Id);
+      Taken.push_back(Id);
+    }
+  }
+  return Out;
+}
+
+/// Runs `Ops` seeded random operations on `M` and `Ref` over keys drawn
+/// from `Pool`, comparing every result and, every 1,000 operations, the
+/// whole contents.
+void runDifferential(SymbolMap<int> &M, RefMap &Ref,
+                     const std::vector<uint32_t> &Pool, uint64_t Seed,
+                     int Ops) {
+  uint64_t State = Seed;
+  for (int I = 0; I != Ops; ++I) {
+    uint64_t R = splitMix64(State);
+    uint32_t Id = Pool[(R >> 8) % Pool.size()];
+    Symbol Key = Symbol::fromId(Id);
+    int Value = static_cast<int>((R >> 40) & 0xffff);
+    switch (R % 9) {
+    case 0:
+    case 1: // Insert or overwrite through operator[].
+      M[Key] = Value;
+      Ref[Id] = Value;
+      break;
+    case 2: { // emplace: never overwrites.
+      auto [It, Inserted] = M.emplace(Key, Value);
+      auto [RefIt, RefInserted] = Ref.emplace(Id, Value);
+      EXPECT_EQ(Inserted, RefInserted);
+      EXPECT_EQ(It->first, Key);
+      EXPECT_EQ(It->second, RefIt->second);
+      break;
+    }
+    case 3: // Erase by key.
+      EXPECT_EQ(M.erase(Key), Ref.erase(Id));
+      break;
+    case 4: { // Erase by iterator.
+      auto It = M.find(Key);
+      ASSERT_EQ(It != M.end(), Ref.count(Id) != 0);
+      if (It != M.end()) {
+        M.erase(It);
+        Ref.erase(Id);
+      }
+      break;
+    }
+    case 5: { // find, and a write through the found entry.
+      auto It = M.find(Key);
+      auto RefIt = Ref.find(Id);
+      ASSERT_EQ(It != M.end(), RefIt != Ref.end());
+      if (It != M.end()) {
+        EXPECT_EQ(It->second, RefIt->second);
+        It->second = RefIt->second = Value;
+      }
+      break;
+    }
+    case 6:
+      EXPECT_EQ(M.count(Key), Ref.count(Id));
+      break;
+    case 7: { // Lookups through a const map.
+      const SymbolMap<int> &C = M;
+      auto It = C.find(Key);
+      EXPECT_EQ(It == C.end(), Ref.count(Id) == 0);
+      break;
+    }
+    case 8: // Rarely: clear, then keep using the map.
+      if ((R >> 32) % 97 == 0) {
+        M.clear();
+        Ref.clear();
+        expectSameEntries(M, Ref);
+      }
+      break;
+    }
+    if (I % 1000 == 999)
+      expectSameEntries(M, Ref);
+  }
+  expectSameEntries(M, Ref);
+}
+
+} // namespace
+
+TEST(SymbolMap, EmptyMapAllocatesNothing) {
+  SymbolMap<int> M;
+  EXPECT_EQ(M.bucketCount(), 0u);
+  EXPECT_TRUE(M.find(Symbol::fromId(7)) == M.end());
+  EXPECT_EQ(M.count(Symbol::fromId(7)), 0u);
+  EXPECT_EQ(M.erase(Symbol::fromId(7)), 0u);
+  M.clear();
+  EXPECT_TRUE(M.begin() == M.end());
+  EXPECT_EQ(M.bucketCount(), 0u);
+}
+
+TEST(SymbolMap, ProbeRunWrapsPastTheEndAndErasesBackAcrossIt) {
+  SymbolMap<int> M;
+  M.reserve(48);
+  ASSERT_EQ(M.bucketCount(), 64u);
+  std::vector<uint32_t> Taken;
+  std::vector<uint32_t> Last = idsHomedAt({63}, 64, 4, Taken);
+  std::vector<uint32_t> First = idsHomedAt({0}, 64, 2, Taken);
+  for (uint32_t Id : Last)
+    M[Symbol::fromId(Id)] = static_cast<int>(Id);
+  // Slot 63 holds one of them; the other three wrapped to slots 0-2, so
+  // iteration (slot order) starts with a key homed at 63.
+  EXPECT_EQ(SymbolMap<int>::homeSlot(M.begin()->first, 64), 63u);
+  for (uint32_t Id : First)
+    M[Symbol::fromId(Id)] = static_cast<int>(Id);
+  // Erasing the run's head shifts every wrapped entry back by one, across
+  // the wrap; each must stay reachable.
+  RefMap Ref;
+  for (uint32_t Id : Last)
+    Ref[Id] = static_cast<int>(Id);
+  for (uint32_t Id : First)
+    Ref[Id] = static_cast<int>(Id);
+  for (uint32_t Id : Last) {
+    ASSERT_EQ(M.erase(Symbol::fromId(Id)), 1u);
+    Ref.erase(Id);
+    for (const auto &[RefId, Value] : Ref) {
+      auto It = M.find(Symbol::fromId(RefId));
+      ASSERT_TRUE(It != M.end()) << "lost id " << RefId;
+      EXPECT_EQ(It->second, Value);
+    }
+    expectSameEntries(M, Ref);
+  }
+  EXPECT_EQ(M.bucketCount(), 64u);
+}
+
+TEST(SymbolMap, DifferentialAgainstUnorderedMap) {
+  // Phase 1: a fixed 64-slot table. The pool is two collision runs, one
+  // homed at the last two slots (so it wraps) and one at the first two
+  // (so it collides with the wrapped entries), plus scattered ids; it
+  // never outgrows the reservation, so every erase shifts within it.
+  SymbolMap<int> M;
+  M.reserve(48);
+  ASSERT_EQ(M.bucketCount(), 64u);
+  std::vector<uint32_t> Pool;
+  idsHomedAt({62, 63}, 64, 12, Pool);
+  idsHomedAt({0, 1}, 64, 12, Pool);
+  for (uint32_t Id = 100000; Pool.size() != 44; Id += 7919)
+    Pool.push_back(Id);
+  RefMap Ref;
+  runDifferential(M, Ref, Pool, /*Seed=*/1, 60000);
+  EXPECT_EQ(M.bucketCount(), 64u);
+
+  // Copy-assign, then check the copy is independent of the original.
+  SymbolMap<int> Copy;
+  Copy[Symbol::fromId(5)] = 5;
+  Copy = M;
+  expectSameEntries(Copy, Ref);
+  RefMap CopyRef = Ref;
+  runDifferential(Copy, CopyRef, Pool, /*Seed=*/2, 5000);
+  expectSameEntries(M, Ref);
+
+  // Phase 2: a wide pool that makes the table grow (rehash) while erases
+  // keep emptying it.
+  std::vector<uint32_t> Wide;
+  for (uint32_t Id = 1; Id != 3001; ++Id)
+    Wide.push_back(Id * 3);
+  runDifferential(M, Ref, Wide, /*Seed=*/3, 60000);
+  EXPECT_GT(M.bucketCount(), 64u);
+
+  // Clear, then reuse the grown table.
+  M.clear();
+  Ref.clear();
+  expectSameEntries(M, Ref);
+  runDifferential(M, Ref, Pool, /*Seed=*/4, 5000);
 }
 
 //===----------------------------------------------------------------------===//
